@@ -20,12 +20,19 @@ space.  It owns four things:
 The interface is deliberately thin: backends produce a *service* (the
 machine-side stack) and per-tenant *api* objects that expose the same
 ``cu*`` facade, so everything above — :class:`~repro.serve.ServeEngine`,
-the fleet router, evalkit — is backend-agnostic.
+the fleet router, evalkit — is backend-agnostic.  The sealed-RPC client
+and request loop themselves are shared
+(:class:`~repro.core.runtime.SealedRpcApi`,
+:class:`~repro.core.gpu_enclave.SealedRpcService`); they charge simulated
+time through the cost hooks below, looked up by the backend's name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
+
+#: A transfer pipeline: per-stage bandwidths and per-stage setup latencies.
+Stages = Tuple[Sequence[float], Sequence[float]]
 
 DEFAULT_REGION_SIZE = 4 * (1 << 20)
 
@@ -67,6 +74,31 @@ class TeeBackend:
         return costs.launch_overhead(self.name)
 
     def rpc_round_trip(self, costs) -> float:
+        """One sealed request/reply round trip over the channel."""
+        raise NotImplementedError
+
+    def session_setup(self, costs) -> Tuple[float, float]:
+        """``(task_init, session_setup)`` seconds charged per context."""
+        raise NotImplementedError
+
+    def kernel_launch(self, costs) -> float:
+        """Client-side cost of one sealed kernel launch."""
+        raise NotImplementedError
+
+    def memcpy_request_overhead(self, costs) -> float:
+        """Per-transfer metadata cost on top of the round trip."""
+        raise NotImplementedError
+
+    def device_crypto_time(self, costs, nbytes: int) -> float:
+        """Device-side open/seal of *nbytes* (charged as ``crypto_gpu``)."""
+        raise NotImplementedError
+
+    def h2d_stages(self, costs) -> Stages:
+        """The sealed upload pipeline, CPU seal first."""
+        raise NotImplementedError
+
+    def d2h_stages(self, costs) -> Stages:
+        """The sealed download pipeline, CPU open last."""
         raise NotImplementedError
 
     # -- identity -------------------------------------------------------
