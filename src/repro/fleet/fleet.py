@@ -74,18 +74,14 @@ class FleetMachine:
         """How long this machine's queued backlog needs to drain.
 
         Mirrors the engine's per-tenant ``queue_full`` hint at machine
-        scope: queued request count times the observed mean service
-        time (calibrated dispatch latency before anything completed),
-        plus the unstarted lite work — the router's retry-after input.
+        scope: queued request count times the client's
+        :meth:`~repro.serve.engine.TenantClient.service_estimate`, plus
+        the unstarted lite work — the router's retry-after input.
         """
         costs = self.machine.costs
         total = 0.0
         for client in self.engine.clients:
-            if client.served_count:
-                per_request = client.served_seconds / client.served_count
-            else:
-                per_request = costs.serve_dispatch_latency
-            total += len(client.queue) * per_request
+            total += len(client.queue) * client.service_estimate(costs)
         return total + self.lite_est_seconds
 
     def status(self) -> MachineStatus:
@@ -304,16 +300,6 @@ class Fleet:
         for index in range(count):
             self.add_lite_session(f"{prefix}{index}", profile,
                                   weight=weight, max_inflight=max_inflight)
-
-    def client_of(self, tenant: str) -> TenantClient:
-        """The (current) client serving *tenant*, wherever it lives."""
-        index = self.router.machine_of(tenant)
-        if index is None:
-            raise KeyError(tenant)
-        for client in self.machines[index].engine.clients:
-            if client.name == tenant:
-                return client
-        raise KeyError(tenant)
 
     # -- migration ----------------------------------------------------------
 

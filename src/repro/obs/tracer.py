@@ -7,10 +7,9 @@ inside it.  Spans nest: instrumented layer boundaries (SGX instruction
 dispatch, TLP routing, MMU/IOMMU translation, DMA, AEAD seal/open, gdev
 API calls, serve request lifecycles) open spans, and every clock charge
 emitted while a span is open becomes a leaf under it — the tracer
-attaches to a clock's listener surface exactly like
-:class:`repro.sim.trace.TraceRecorder` does, so one instrumentation
-point observes every timing layer now that all of them run through the
-unified kernel.
+attaches to a clock's listener surface (:meth:`SpanTracer.attach`), so
+one instrumentation point observes every timing layer now that all of
+them run through the unified kernel.
 
 Tenant / session / request identity travels as span *attributes*;
 :meth:`Span.attr` resolves a key through the ancestor chain, so a leaf

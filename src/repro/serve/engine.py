@@ -57,6 +57,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -71,7 +72,6 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import audit_log
 from repro.obs.slo import (
-    SloObjective,
     bad_series,
     good_series,
     latency_series,
@@ -103,7 +103,6 @@ from repro.serve.resilience import (
     KIND_CIRCUIT_OPEN,
     KIND_CRYPTO,
     KIND_DEVICE_LOST,
-    KIND_QUEUE_FULL,
     KIND_QUOTA,
     KIND_REJECTED,
     KIND_TIMEOUT,
@@ -118,7 +117,6 @@ from repro.serve.resilience import (
 from repro.serve.scheduler import FifoScheduler, Scheduler, make_scheduler
 from repro.serve.session import SessionTable, TenantQuota, TenantRecord
 from repro.sim.engine import EventClock, LaneRun, TenantLane, WorkUnit
-from repro.sim.clock import TimeBreakdown
 from repro.sim.trace import TraceEvent
 
 #: Clock categories that occupy the GPU execution engine exclusively.
@@ -134,11 +132,20 @@ GPU_ENGINE_CATEGORIES = frozenset({"gpu_compute", "gpu_dispatch",
 SECURITY_FAILURE_KINDS = frozenset({KIND_CRYPTO, KIND_DEVICE_LOST,
                                     KIND_REJECTED, "driver"})
 
+#: What a request's functional work may raise and the engine settles as
+#: a request outcome (anything else is a bug and propagates).
+_REQUEST_ERRORS = (AdmissionError, QueueFullError, RequestRejected,
+                  DriverError, CryptoError)
+
 _UNSET = object()
 
 
 class _ChargeRecorder:
     """Accumulate one measured region's charges from a zero baseline.
+
+    Used as ``with _ChargeRecorder(clock) as recorder:``: the recorder
+    listens to *clock* for exactly the ``with`` block, then
+    :meth:`split` turns what it heard into schedulable seconds.
 
     Measuring by subtracting clock snapshots makes the result depend on
     the *absolute* accumulator values (``(X + d) - X`` is not always
@@ -155,16 +162,24 @@ class _ChargeRecorder:
     would leak the interleaving into the last ulp of the host split.
     """
 
-    __slots__ = ("total", "by_category")
+    __slots__ = ("_clock", "total", "by_category")
 
     #: The one category whose charges depend on cross-tenant production
     #: order.  The virtual schedule charges switches itself, from the
     #: owner changes it actually decides, so measurements drop them.
     EXCLUDED = frozenset({"gpu_ctx_switch"})
 
-    def __init__(self) -> None:
+    def __init__(self, clock) -> None:
+        self._clock = clock
         self.total = 0.0
         self.by_category: Dict[str, float] = {}
+
+    def __enter__(self) -> "_ChargeRecorder":
+        self._clock.add_listener(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._clock.remove_listener(self)
 
     def __call__(self, start: float, seconds: float, category: str) -> None:
         if category in self.EXCLUDED:
@@ -173,8 +188,25 @@ class _ChargeRecorder:
         self.by_category[category] = (
             self.by_category.get(category, 0.0) + seconds)
 
-    def breakdown(self) -> TimeBreakdown:
-        return TimeBreakdown(self.total, self.by_category)
+    def split(self, crypto_eff: float) -> Tuple[float, float]:
+        """Measured charge -> (host_seconds, gpu_engine_seconds).
+
+        Engine seconds are the :data:`GPU_ENGINE_CATEGORIES` charges,
+        with in-GPU crypto derated by *crypto_eff* under concurrent
+        service; everything else is overlappable host work.
+        """
+        gpu = sum(seconds for category, seconds in self.by_category.items()
+                  if category in GPU_ENGINE_CATEGORIES)
+        host = self.total - gpu
+        if crypto_eff < 1.0:
+            crypto = self.by_category.get("crypto_gpu", 0.0)
+            gpu += crypto * (1.0 / crypto_eff - 1.0)
+        return max(host, 0.0), max(gpu, 0.0)
+
+    def seconds(self, crypto_eff: float) -> float:
+        """The region as one serial unit: host plus engine seconds."""
+        host, gpu = self.split(crypto_eff)
+        return host + gpu
 
 
 class _GuardedApi:
@@ -209,6 +241,13 @@ class _GuardedApi:
         token = self._handles.pop(dptr.addr, None)
         if token is not None:
             self._table.release_memory(self._record, token)
+
+    def release_all(self) -> None:
+        """Release the quota charges of every live allocation: the
+        enclave context they lived in was destroyed with cleanse."""
+        for token in self._handles.values():
+            self._table.release_memory(self._record, token)
+        self._handles.clear()
 
     def __getattr__(self, name: str):
         return getattr(self._api, name)
@@ -262,6 +301,14 @@ class TenantClient:
     def request_drain(self) -> None:
         """Ask the tenant's stream to stop pulling new requests."""
         self.drain_requested = True
+
+    def service_estimate(self, costs) -> float:
+        """Expected service seconds per request: the observed mean over
+        completed requests, or the calibrated dispatch latency (the only
+        per-request cost known) before any request completed."""
+        if self.served_count:
+            return self.served_seconds / self.served_count
+        return costs.serve_dispatch_latency
 
     def submit(self, label: str, fn: Callable[[Any], Any],
                timeout: Any = _UNSET,
@@ -339,8 +386,9 @@ class ServeEngine:
         # Run state between start() and finish() (fleet shared-kernel
         # runs hold several engines open across one kernel drain).
         self._lane_run: Optional[LaneRun] = None
-        self._lane_names: List[str] = []
-        self._lane_clients: List[Optional[TenantClient]] = []
+        #: Lane name -> its tenant client (``None`` for a lite lane), in
+        #: lane-index order.
+        self._lanes: Dict[str, Optional[TenantClient]] = {}
         self._crypto_eff = 1.0
         #: Timing memo for the fast path; shared across tenants of one
         #: engine (they share the session configuration the key tokens).
@@ -394,36 +442,18 @@ class ServeEngine:
                 self._machine.costs)
         return 1.0
 
-    def _split(self, elapsed: TimeBreakdown, crypto_eff: float):
-        """Measured charge -> (host_seconds, gpu_engine_seconds).
-
-        The production order's incidental ``gpu_ctx_switch`` charges are
-        dropped entirely: the virtual schedule charges switches itself,
-        from the owner changes it actually decides.
-        """
-        gpu, host = elapsed.split(GPU_ENGINE_CATEGORIES)
-        host -= elapsed.by_category.get("gpu_ctx_switch", 0.0)
-        if crypto_eff < 1.0:
-            crypto = elapsed.by_category.get("crypto_gpu", 0.0)
-            gpu += crypto * (1.0 / crypto_eff - 1.0)
-        return max(host, 0.0), max(gpu, 0.0)
-
     # -- resilience --------------------------------------------------------
 
     def _queue_retry_after(self, client: TenantClient) -> float:
         """Retry-after hint for ``queue_full``: how long until the
         channel backlog likely drained.
 
-        The drain rate is the tenant's observed mean service time per
-        completed request; the backlog that must drain is bounded by the
-        channel queue depth.  Before any request completed, the dispatch
-        latency is the only calibrated per-request cost available.
+        The drain rate is the tenant's per-request service estimate
+        (:meth:`TenantClient.service_estimate`); the backlog that must
+        drain is bounded by the channel queue depth.
         """
-        if client.served_count:
-            per_request = client.served_seconds / client.served_count
-        else:
-            per_request = self._machine.costs.serve_dispatch_latency
-        return per_request * self._channel_queue_depth
+        return (client.service_estimate(self._machine.costs)
+                * self._channel_queue_depth)
 
     def _restore_service(self) -> None:
         """Bring back a dead GPU enclave service.
@@ -449,7 +479,7 @@ class ServeEngine:
                             "backend", "hix"))
 
     def _recover_session(self, client: TenantClient, guarded: "_GuardedApi",
-                         crypto_eff: float) -> Iterator[WorkUnit]:
+                         crypto_eff: float) -> float:
         """Re-establish *client*'s session after enclave/session loss.
 
         Runs the full trust path again — fresh user enclave, attestation
@@ -459,32 +489,25 @@ class ServeEngine:
         destroyed with cleanse), so quota charges for old allocations
         are released, the timing memo is invalidated (stale splits must
         never replay against a fresh session), and the client's
-        ``on_recover`` hook re-provisions workload state.
+        ``on_recover`` hook re-provisions workload state.  Returns the
+        serial seconds the recovery charged.
         """
         machine = self._machine
-        clock = machine.clock
-        recorder = _ChargeRecorder()
-        clock.add_listener(recorder)
-        try:
-            with _span("serve.session-recovery", "serve",
-                       tenant=client.name,
-                       backend=getattr(machine.config, "backend", "hix")):
-                if not self._service.alive:
-                    self._restore_service()
-                for token in list(guarded._handles.values()):
-                    self.table.release_memory(client.record, token)
-                guarded._handles.clear()
-                api = machine.secure_session(
-                    self._service, name=client.name,
-                    channel_queue_depth=self._channel_queue_depth)
-                api.cuCtxCreate()
-                guarded._api = api
-                client.session_epoch += 1
-                self.memo.invalidate("session re-established after fault")
-                if client.on_recover is not None:
-                    client.on_recover(guarded)
-        finally:
-            clock.remove_listener(recorder)
+        with _ChargeRecorder(machine.clock) as recorder, _span(
+                "serve.session-recovery", "serve", tenant=client.name,
+                backend=getattr(machine.config, "backend", "hix")):
+            if not self._service.alive:
+                self._restore_service()
+            guarded.release_all()
+            api = machine.secure_session(
+                self._service, name=client.name,
+                channel_queue_depth=self._channel_queue_depth)
+            api.cuCtxCreate()
+            guarded._api = api
+            client.session_epoch += 1
+            self.memo.invalidate("session re-established after fault")
+            if client.on_recover is not None:
+                client.on_recover(guarded)
         obs_metrics.registry().counter("serve.retry.session_recoveries").inc()
         audit_log().record(
             "serve.session_recovered", client.name,
@@ -493,8 +516,7 @@ class ServeEngine:
                    f"{client.session_epoch} (fresh attestation + key "
                    f"exchange, memo invalidated)",
             epoch=client.session_epoch)
-        host, gpu = self._split(recorder.breakdown(), crypto_eff)
-        yield WorkUnit(host + gpu, None, "session-recovery")
+        return recorder.seconds(crypto_eff)
 
     # -- execution ---------------------------------------------------------
 
@@ -538,36 +560,65 @@ class ServeEngine:
                                         idle=unit.idle))
             return unit
 
+        def settle(requests: List[ServeRequest], outcome: str,
+                   latency: float = 0.0, detail: str = "") -> None:
+            """The one place a request outcome lands, at virtual now.
+
+            Writes *outcome* on every request and its telemetry: served
+            requests mark ``good`` and observe *latency*; failed and
+            timed-out ones mark ``bad`` (timeouts also ``timeout``);
+            denied, backpressured and shed ones mark ``shed``.  A
+            failure the sealed protocol or the device detected is
+            security evidence and is audited as ``serve.fault_detected``
+            with *detail*.
+            """
+            if not requests:
+                return
+            now = vnow()
+            for request in requests:
+                request.outcome = outcome
+                if outcome == TIMEOUT:
+                    request.error_kind = KIND_TIMEOUT
+            if telemetry is not None:
+                count = len(requests)
+                if outcome == SERVED:
+                    telemetry.mark(good_series(tenant), now, count)
+                    telemetry.observe(latency_series(tenant), now, latency)
+                elif outcome in (FAILED, TIMEOUT):
+                    telemetry.mark(bad_series(tenant), now, count)
+                    if outcome == TIMEOUT:
+                        telemetry.mark(timeout_series(tenant), now, count)
+                else:
+                    telemetry.mark(shed_series(tenant), now, count)
+            kind = requests[0].error_kind
+            if outcome == FAILED and kind in SECURITY_FAILURE_KINDS:
+                audit.record("serve.fault_detected", tenant, time=now,
+                             ok=False, detail=detail, error_kind=kind)
+
         try:
             self.table.open_context(client.record)
         except AdmissionError as exc:
             client.admission_error = str(exc)
-            denied = 0
+            denied: List[ServeRequest] = []
             while client.queue:
                 request = client.queue.pop()
-                request.outcome = DENIED
                 request.error = str(exc)
                 request.error_kind = KIND_QUOTA
-                denied += 1
-            if telemetry is not None and denied:
-                telemetry.mark(shed_series(tenant), vnow(), denied)
+                denied.append(request)
+            settle(denied, DENIED)
             return
 
-        recorder = _ChargeRecorder()
-        clock.add_listener(recorder)
-        try:
+        with _ChargeRecorder(clock) as recorder:
             api = machine.secure_session(
                 self._service, name=client.name,
                 channel_queue_depth=self._channel_queue_depth)
             with _span("serve.session-setup", "serve", tenant=client.name,
                        backend=getattr(machine.config, "backend", "hix")):
                 api.cuCtxCreate()
-        finally:
-            clock.remove_listener(recorder)
-        host, gpu = self._split(recorder.breakdown(), crypto_eff)
         # Session setup is serial host work (attestation + DH); any
         # engine seconds it charged are folded in rather than scheduled.
-        yield emit(WorkUnit(host + gpu, None, "session-setup"))
+        yield emit(WorkUnit(recorder.seconds(crypto_eff), None,
+                            "session-setup"))
 
         guarded = _GuardedApi(api, self.table, client.record,
                               self._alloc_tokens)
@@ -578,16 +629,12 @@ class ServeEngine:
             # on the source machine, so the workload's recovery hook
             # re-provisions it against the fresh session — measured and
             # charged like any other work.
-            recorder = _ChargeRecorder()
-            clock.add_listener(recorder)
-            try:
-                with _span("serve.session-reprovision", "serve",
-                           tenant=client.name):
-                    client.on_recover(guarded)
-            finally:
-                clock.remove_listener(recorder)
-            host, gpu = self._split(recorder.breakdown(), crypto_eff)
-            yield emit(WorkUnit(host + gpu, None, "reprovision"))
+            with _ChargeRecorder(clock) as recorder, _span(
+                    "serve.session-reprovision", "serve",
+                    tenant=client.name):
+                client.on_recover(guarded)
+            yield emit(WorkUnit(recorder.seconds(crypto_eff), None,
+                                "reprovision"))
 
         fast = self._fast_path
         pending: List[ServeRequest] = []
@@ -625,29 +672,18 @@ class ServeEngine:
                             head.batch_fn(guarded, group)
                         else:
                             head.result = head.fn(guarded)
-                    except (AdmissionError, QueueFullError,
-                            RequestRejected, DriverError,
-                            CryptoError) as exc:
+                    except _REQUEST_ERRORS as exc:
                         kind = classify_failure(exc)
                         for deferred in group:
                             deferred.attempts += 1
-                            deferred.outcome = FAILED
                             deferred.error = str(exc)
                             deferred.error_kind = kind
-                            if (policy is not None
-                                    and policy.retries(kind,
-                                                       deferred.attempts)):
-                                deferred.retrying = True
-                                retry_backlog.append(deferred)
-                        if telemetry is not None:
-                            telemetry.mark(bad_series(tenant), vnow(),
-                                           len(group))
-                        if kind in SECURITY_FAILURE_KINDS:
-                            audit.record(
-                                "serve.fault_detected", tenant,
-                                time=vnow(), ok=False,
-                                detail=f"deferred flush failed: {exc}",
-                                error_kind=kind)
+                        settle(group, FAILED,
+                               detail=f"deferred flush failed: {exc}")
+                        if policy is not None:
+                            retry_backlog.extend(
+                                deferred for deferred in group
+                                if policy.retries(kind, deferred.attempts))
                     else:
                         for deferred in group:
                             deferred.session_epoch = client.session_epoch
@@ -660,145 +696,77 @@ class ServeEngine:
                 # already charged, and let the handoff below move the
                 # rest of the backlog to another machine.
                 break
-            if retry_backlog:
-                # Retries re-execute over the real sealed path — never
-                # from the memo, whose entry may describe the dead
-                # session the first attempt failed against.
-                request = retry_backlog.popleft()
-                is_retry = True
-            else:
-                request = client.queue.pop()
-                is_retry = False
+            # Retries re-execute over the real sealed path — never from
+            # the memo, whose entry may describe the dead session the
+            # first attempt failed against.
+            is_retry = bool(retry_backlog)
+            request = (retry_backlog.popleft() if is_retry
+                       else client.queue.pop())
             if breaker is not None and not is_retry:
-                allowed, wait_hint = breaker.allow(
-                    self._kernel.now if self._kernel is not None else 0.0)
+                allowed, wait_hint = breaker.allow(vnow())
                 if not allowed:
-                    request.outcome = SHED
                     request.error = "circuit breaker open"
                     request.error_kind = KIND_CIRCUIT_OPEN
                     request.retry_after = (wait_hint if wait_hint > 0.0
                                            else self._queue_retry_after(
                                                client))
                     registry.counter("serve.retry.shed").inc()
-                    if telemetry is not None:
-                        telemetry.mark(shed_series(tenant), vnow())
+                    settle([request], SHED)
                     yield emit(WorkUnit(0.0, None, request.label))
                     continue
+            memo_key = None
+            cached = None
+            failure = None
             if fast and not is_retry and request.memo_key is not None:
                 memo_key = (request.memo_key, request.extra_host_seconds)
                 cached = self.memo.get(memo_key)
-                if cached is not None:
-                    host, gpu = cached
-                    request.host_seconds = host
-                    request.gpu_seconds = gpu
-                    request.session_epoch = client.session_epoch
-                    client.served_seconds += host + gpu
-                    client.served_count += 1
-                    pending.append(request)
-                    if gpu <= 0.0:
-                        request.outcome = SERVED
-                        if telemetry is not None:
-                            telemetry.mark(good_series(tenant), vnow())
-                            telemetry.observe(latency_series(tenant),
-                                              vnow(), host)
-                        yield emit(WorkUnit(host, None, request.label))
-                        continue
-
-                    pulled_at = vnow()
-
-                    def settle_hit(outcome: str,
-                                   request: ServeRequest = request,
-                                   pulled_at: float = pulled_at) -> None:
-                        if request.retrying or request.outcome == FAILED:
-                            return  # deferred execution failed at flush
-                        request.outcome = (SERVED if outcome == "served"
-                                           else TIMEOUT)
-                        if outcome != "served":
-                            request.error_kind = KIND_TIMEOUT
-                        if telemetry is not None:
-                            settled_at = vnow()
-                            if outcome == "served":
-                                telemetry.mark(good_series(tenant),
-                                               settled_at)
-                                telemetry.observe(
-                                    latency_series(tenant), settled_at,
-                                    settled_at - pulled_at
-                                    + request.gpu_seconds)
-                            else:
-                                telemetry.mark(bad_series(tenant),
-                                               settled_at)
-                                telemetry.mark(timeout_series(tenant),
-                                               settled_at)
-
-                    yield emit(WorkUnit(host, gpu, request.label,
-                                        deadline=request.timeout,
-                                        on_outcome=settle_hit))
-                    continue
+            if cached is not None:
+                # Memo hit: charge the cached split now and run the
+                # functional work later, in the next flush.
+                host, gpu = cached
+                pending.append(request)
             else:
-                memo_key = None
-            flush_pending()
-            request.attempts += 1
-            recorder = _ChargeRecorder()
-            clock.add_listener(recorder)
-            try:
-                with _span("serve.request", "serve", tenant=client.name,
-                           request=request.label, seq=request.seq):
+                flush_pending()
+                request.attempts += 1
+                with _ChargeRecorder(clock) as recorder, _span(
+                        "serve.request", "serve", tenant=client.name,
+                        request=request.label, seq=request.seq):
                     clock.advance(costs.serve_dispatch_latency,
                                   "serve_dispatch")
                     if request.extra_host_seconds > 0.0:
                         clock.advance(request.extra_host_seconds, "launch")
-                    ok = True
                     try:
                         request.result = request.fn(guarded)
-                    except AdmissionError as exc:
-                        ok = False
-                        request.outcome = DENIED
-                        request.error = str(exc)
-                        request.error_kind = KIND_QUOTA
-                    except QueueFullError as exc:
-                        # Channel backlog is the lower level's
-                        # backpressure; surface it as such rather than
-                        # as a protocol fault.
-                        ok = False
-                        request.outcome = BACKPRESSURE
-                        request.error = str(exc)
-                        request.error_kind = KIND_QUEUE_FULL
-                        request.retry_after = self._queue_retry_after(client)
-                    except (RequestRejected, DriverError,
-                            CryptoError) as exc:
-                        ok = False
-                        request.outcome = FAILED
+                    except _REQUEST_ERRORS as exc:
                         request.error = str(exc)
                         request.error_kind = classify_failure(exc)
-            finally:
-                clock.remove_listener(recorder)
-            host, gpu = self._split(recorder.breakdown(), crypto_eff)
+                        # A quota denial and a channel backlog (the lower
+                        # level's backpressure) are not protocol faults.
+                        if isinstance(exc, AdmissionError):
+                            failure = DENIED
+                        elif isinstance(exc, QueueFullError):
+                            failure = BACKPRESSURE
+                            request.retry_after = self._queue_retry_after(
+                                client)
+                        else:
+                            failure = FAILED
+                host, gpu = recorder.split(crypto_eff)
+                if failure is None and memo_key is not None:
+                    # Only successful runs are memoized: a failure's
+                    # timing depends on where it failed, not on the
+                    # request shape.
+                    self.memo.put(memo_key, host, gpu)
+                if breaker is not None:
+                    if failure is None:
+                        breaker.record_success(vnow())
+                    elif request.error_kind in BREAKER_KINDS:
+                        breaker.record_failure(vnow())
             request.host_seconds = host
             request.gpu_seconds = gpu
             request.session_epoch = client.session_epoch
-            if ok and memo_key is not None:
-                # Only successful runs are memoized: a failure's timing
-                # depends on where it failed, not on the request shape.
-                self.memo.put(memo_key, host, gpu)
-            if breaker is not None:
-                now = self._kernel.now if self._kernel is not None else 0.0
-                if ok:
-                    breaker.record_success(now)
-                elif request.error_kind in BREAKER_KINDS:
-                    breaker.record_failure(now)
-            if not ok:
-                failed_at = vnow()
-                if telemetry is not None:
-                    if request.outcome == FAILED:
-                        telemetry.mark(bad_series(tenant), failed_at)
-                    else:  # quota denial / channel backpressure: a shed
-                        telemetry.mark(shed_series(tenant), failed_at)
-                if request.error_kind in SECURITY_FAILURE_KINDS:
-                    audit.record(
-                        "serve.fault_detected", tenant, time=failed_at,
-                        ok=False,
-                        detail=f"{request.label}: {request.error}",
-                        error_kind=request.error_kind)
+            if failure is not None:
+                settle([request], failure,
+                       detail=f"{request.label}: {request.error}")
                 # A denied/failed request consumed host time only; any
                 # engine time it managed to charge is not scheduled.
                 yield emit(WorkUnit(host + gpu, None, request.label))
@@ -813,10 +781,10 @@ class ServeEngine:
                                         f"{request.label}:backoff",
                                         idle=True))
                     if kind in RECOVERY_KINDS:
-                        for unit in self._recover_session(client, guarded,
-                                                          crypto_eff):
-                            yield emit(unit)
-                    request.retrying = True
+                        yield emit(WorkUnit(
+                            self._recover_session(client, guarded,
+                                                  crypto_eff),
+                            None, "session-recovery"))
                     request.outcome = PENDING
                     retry_backlog.append(request)
                 continue
@@ -825,56 +793,44 @@ class ServeEngine:
             if gpu <= 0.0:
                 # Host-only request (malloc/free/module-load): served
                 # inline, never visits the engine queue.
-                request.outcome = SERVED
-                if telemetry is not None:
-                    telemetry.mark(good_series(tenant), vnow())
-                    telemetry.observe(latency_series(tenant), vnow(), host)
+                settle([request], SERVED, latency=host)
                 yield emit(WorkUnit(host, None, request.label))
                 continue
 
-            pulled_at = vnow()
-
-            def settle(outcome: str, request: ServeRequest = request,
-                       pulled_at: float = pulled_at) -> None:
-                request.outcome = SERVED if outcome == "served" else TIMEOUT
-                if outcome != "served":
-                    request.error_kind = KIND_TIMEOUT
-                if telemetry is not None:
-                    settled_at = vnow()
-                    if outcome == "served":
-                        telemetry.mark(good_series(tenant), settled_at)
-                        telemetry.observe(
-                            latency_series(tenant), settled_at,
-                            settled_at - pulled_at + request.gpu_seconds)
-                    else:
-                        telemetry.mark(bad_series(tenant), settled_at)
-                        telemetry.mark(timeout_series(tenant), settled_at)
+            def on_outcome(outcome: str, request: ServeRequest = request,
+                           pulled_at: float = vnow(),
+                           attempts: int = request.attempts) -> None:
+                if request.attempts != attempts:
+                    # Stale visit: the request's deferred work failed at
+                    # flush since, and that failure or its retry settles
+                    # the request.
+                    return
+                if outcome == "served":
+                    settle([request], SERVED, latency=(
+                        vnow() - pulled_at + request.gpu_seconds))
+                else:
+                    settle([request], TIMEOUT)
 
             yield emit(WorkUnit(host, gpu, request.label,
-                                deadline=request.timeout, on_outcome=settle))
+                                deadline=request.timeout,
+                                on_outcome=on_outcome))
 
         flush_pending()
         draining = client.drain_requested
-        recorder = _ChargeRecorder()
-        clock.add_listener(recorder)
-        try:
-            with _span("serve.teardown", "serve", tenant=client.name):
-                try:
-                    guarded._api.cuCtxDestroy()
-                except (DriverError, CryptoError):
-                    # The session/device died and no retry policy
-                    # resurrected it; quota bookkeeping still closes.
-                    pass
-                if draining:
-                    # The enclave context was destroyed with cleanse;
-                    # release the quota charges of the allocations that
-                    # died with it (the target re-provisions its own).
-                    for token in list(guarded._handles.values()):
-                        self.table.release_memory(client.record, token)
-                    guarded._handles.clear()
-                self.table.close_context(client.record)
-        finally:
-            clock.remove_listener(recorder)
+        with _ChargeRecorder(clock) as recorder, _span(
+                "serve.teardown", "serve", tenant=client.name):
+            try:
+                guarded._api.cuCtxDestroy()
+            except (DriverError, CryptoError):
+                # The session/device died and no retry policy
+                # resurrected it; quota bookkeeping still closes.
+                pass
+            if draining:
+                # The enclave context was destroyed with cleanse;
+                # release the quota charges of the allocations that
+                # died with it (the target re-provisions its own).
+                guarded.release_all()
+            self.table.close_context(client.record)
         # Satellite fix: session teardown is a memo-invalidation point.
         # Entries are only dropped once the *last* context closes — the
         # splits stay valid between tenants of one run (they share the
@@ -887,8 +843,7 @@ class ServeEngine:
             detail="enclave context destroyed with cleanse"
                    + (" (cooperative drain)" if draining else ""),
             epoch=client.session_epoch, drained=draining)
-        host, gpu = self._split(recorder.breakdown(), crypto_eff)
-        yield emit(WorkUnit(host + gpu, None, "teardown"))
+        yield emit(WorkUnit(recorder.seconds(crypto_eff), None, "teardown"))
 
         if draining:
             # Hand the unexecuted backlog off *after* the teardown unit
@@ -908,11 +863,36 @@ class ServeEngine:
                     request.outcome = MIGRATED
                     request.error = None
                     request.error_kind = None
-                    request.retrying = False
             client.migrated_away = len(remaining)
             registry.counter("serve.migrations.drained").inc()
             if client.on_drained is not None:
                 client.on_drained(remaining)
+
+    # -- lanes -------------------------------------------------------------
+
+    def _client_lane(self, client: TenantClient,
+                     crypto_eff: float) -> TenantLane:
+        """A kernel lane running *client*'s unit stream under its quota."""
+        quota = client.record.quota
+        return TenantLane(units=self._unit_stream(client, crypto_eff),
+                          weight=quota.weight,
+                          max_inflight=quota.max_inflight,
+                          name=client.name)
+
+    def _named(self, lane: TenantLane,
+               client: Optional[TenantClient]) -> TenantLane:
+        """Register *lane* and its client (``None`` for a lite lane)
+        under its own name (``lane<i>`` when empty), suffixed ``#<i>``
+        with its index while that clashes: an O(1) check per lane, for
+        fleets of thousands of lite lanes.
+        """
+        index = len(self._lanes)
+        name = lane.name or f"lane{index}"
+        while name in self._lanes:
+            name = f"{name}#{index}"
+        lane.name = name
+        self._lanes[name] = client
+        return lane
 
     def start(self, kernel: EventClock,
               extra_lanes: Sequence[TenantLane] = ()) -> LaneRun:
@@ -943,31 +923,10 @@ class ServeEngine:
         # cost-model or session-config change invalidates cached splits.
         self.memo.configure(self._memo_token(crypto_eff))
 
-        lane_names: List[str] = []
-        seen_names = set()
-        for index, client in enumerate(self._clients):
-            name = client.name
-            if name in seen_names:
-                name = f"{name}#{index}"
-            lane_names.append(name)
-            seen_names.add(name)
-
-        lanes = [TenantLane(units=self._unit_stream(client, crypto_eff),
-                            weight=client.record.quota.weight,
-                            max_inflight=client.record.quota.max_inflight,
-                            name=lane_names[index])
-                 for index, client in enumerate(self._clients)]
-        self._lane_clients = list(self._clients)
-        for lane in extra_lanes:
-            name = lane.name or f"lane{len(lane_names)}"
-            if name in seen_names:
-                name = f"{name}#{len(lane_names)}"
-            lane.name = name
-            lane_names.append(name)
-            seen_names.add(name)
-            lanes.append(lane)
-            self._lane_clients.append(None)
-        self._lane_names = lane_names
+        self._lanes = {}
+        lanes = [self._named(self._client_lane(client, crypto_eff), client)
+                 for client in self._clients]
+        lanes.extend(self._named(lane, None) for lane in extra_lanes)
         # A plain FIFO scheduler selects min-(ready, seq) — exactly the
         # kernel-native arbitration — so hand the Resource None and let
         # it use its O(log lanes) head heap instead of an O(lanes) scan
@@ -987,13 +946,7 @@ class ServeEngine:
         """Add a lane to a started run at the kernel's current time."""
         if self._lane_run is None:
             raise RuntimeError("admit_lane requires a started run")
-        name = lane.name or f"lane{len(self._lane_names)}"
-        if name in self._lane_names:
-            name = f"{name}#{len(self._lane_names)}"
-        lane.name = name
-        self._lane_names.append(name)
-        self._lane_clients.append(client)
-        return self._lane_run.add_lane(lane)
+        return self._lane_run.add_lane(self._named(lane, client))
 
     def receive_migration(self, name: str, requests: List[ServeRequest],
                           session_epoch: int,
@@ -1019,14 +972,9 @@ class ServeEngine:
         client.reprovision_on_start = True
         for request in requests:
             request.outcome = PENDING
-            request.retrying = False
             client.queue.submit(request)
             client.requests.append(request)
-        lane = TenantLane(units=self._unit_stream(client, self._crypto_eff),
-                          weight=client.record.quota.weight,
-                          max_inflight=client.record.quota.max_inflight,
-                          name=name)
-        self.admit_lane(lane, client)
+        self.admit_lane(self._client_lane(client, self._crypto_eff), client)
         obs_metrics.registry().counter("serve.migrations.received").inc()
         return client
 
@@ -1036,7 +984,7 @@ class ServeEngine:
             raise RuntimeError("finish requires a started run")
         result = self._lane_run.finish()
         self._lane_run = None
-        lane_names = self._lane_names
+        lane_names = list(self._lanes)
         gpu_busy = sum(t.gpu_busy for t in result.timelines)
         gpu_utilization = (gpu_busy / result.makespan
                            if result.makespan > 0.0 else 0.0)
@@ -1046,17 +994,16 @@ class ServeEngine:
             lane_events[lane_names[tenant]].append(event)
 
         tenants: List[TenantReport] = []
-        for index, client in enumerate(self._lane_clients):
+        for index, (name, client) in enumerate(self._lanes.items()):
             timeline = result.timelines[index]
             if client is not None:
                 tenants.append(build_tenant_report(
-                    client, lane_names[index], timeline,
-                    result.stall_seconds[index]))
+                    client, name, timeline, result.stall_seconds[index]))
             else:
                 # Lite lane: no request ledger — the engine-visit
                 # accounting is the whole story.
                 tenants.append(TenantReport(
-                    name=lane_names[index],
+                    name=name,
                     submitted=result.served[index] + result.timed_out[index],
                     rejected_submits=0,
                     served=result.served[index],
@@ -1080,16 +1027,6 @@ class ServeEngine:
             self.telemetry.finalize(report.makespan)
         self._publish_metrics(report)
         return report
-
-    def slo_objectives(self) -> Dict[str, SloObjective]:
-        """Per-tenant objectives declared on admitted quotas
-        (``TenantQuota.slo``), ready for an ``AlertManager``."""
-        objectives: Dict[str, SloObjective] = {}
-        for record in self.table.tenants:
-            slo = getattr(record.quota, "slo", None)
-            if slo is not None:
-                objectives[record.name] = slo
-        return objectives
 
     def run(self, kernel: Optional[EventClock] = None) -> ServeReport:
         """Execute every queued request and return the serving report.

@@ -82,9 +82,6 @@ class ServeRequest:
     #: session re-establishment, so callers can tell whether two
     #: requests observed the same device state.
     session_epoch: int = 0
-    #: Internal: set when a failed execution was re-queued for retry so
-    #: stale visit settlements cannot overwrite the retry's outcome.
-    retrying: bool = False
 
 
 @dataclass
@@ -123,14 +120,8 @@ class RequestQueue:
     def pop(self) -> ServeRequest:
         return self._entries.popleft()
 
-    def peek(self) -> Optional[ServeRequest]:
-        return self._entries[0] if self._entries else None
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)

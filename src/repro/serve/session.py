@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import AdmissionError
-from repro.obs.slo import SloObjective
 
 MB = 1 << 20
 
@@ -43,10 +42,6 @@ class TenantQuota:
     max_queue_depth: int = 64
     weight: float = 1.0
     request_timeout: Optional[float] = None
-    #: Service-level objective for this tenant; evaluated by the SLO
-    #: engine when the serve run collects telemetry (``None`` = none
-    #: declared — the tenant gets no alert rules).
-    slo: Optional[SloObjective] = None
 
     def __post_init__(self) -> None:
         if self.max_contexts < 1:

@@ -33,7 +33,6 @@ from repro.sim.pipeline import (
     pipelined_times,
     serial_time,
 )
-from repro.sim.trace import TraceRecorder, record
 
 __all__ = [
     "SimClock",
@@ -51,6 +50,4 @@ __all__ = [
     "pipelined_time_events",
     "pipelined_times",
     "serial_time",
-    "TraceRecorder",
-    "record",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict
 
 
 @dataclass
@@ -28,17 +28,6 @@ class TimeBreakdown:
         if self.total <= 0.0:
             return 0.0
         return self.by_category.get(category, 0.0) / self.total
-
-    def split(self, categories) -> Tuple[float, float]:
-        """Partition the total: (time in *categories*, time elsewhere).
-
-        Used by the serving engine to separate GPU-engine-exclusive
-        charges (compute, dispatch, in-GPU crypto) from overlappable
-        host-side work when scheduling tenants onto one device.
-        """
-        matched = sum(seconds for category, seconds
-                      in self.by_category.items() if category in categories)
-        return matched, self.total - matched
 
     def __sub__(self, earlier: "TimeBreakdown") -> "TimeBreakdown":
         cats: Dict[str, float] = dict(earlier.by_category)
@@ -65,7 +54,6 @@ class SimClock:
     def __init__(self) -> None:
         self._now = 0.0
         self._by_category: Dict[str, float] = defaultdict(float)
-        self._marks: List[Tuple[str, float]] = []
         self._listeners: List = []
         self._suppressed = 0
 
@@ -77,8 +65,9 @@ class SimClock:
     def add_listener(self, listener) -> None:
         """Register ``listener(start, seconds, category)`` for every charge.
 
-        Used by :class:`~repro.sim.trace.TraceRecorder` to build execution
-        timelines without instrumenting every call site.
+        Used by :meth:`repro.obs.tracer.SpanTracer.attach` to record
+        every charge as a leaf span, and by the serving engine to
+        measure one region, without instrumenting every call site.
         """
         self._listeners.append(listener)
 
@@ -117,14 +106,6 @@ class SimClock:
         finally:
             self._suppressed -= 1
 
-    def mark(self, label: str) -> None:
-        """Record a named timestamp (useful for debugging traces)."""
-        self._marks.append((label, self._now))
-
-    @property
-    def marks(self) -> List[Tuple[str, float]]:
-        return list(self._marks)
-
     def snapshot(self) -> TimeBreakdown:
         """Return an immutable snapshot of the accounting so far."""
         return TimeBreakdown(self._now, dict(self._by_category))
@@ -132,30 +113,3 @@ class SimClock:
     def elapsed_since(self, snap: TimeBreakdown) -> TimeBreakdown:
         """Return the time charged since *snap* was taken."""
         return self.snapshot() - snap
-
-    def categories(self) -> Iterator[Tuple[str, float]]:
-        return iter(sorted(self._by_category.items()))
-
-    def reset(self) -> None:
-        """Zero the clock (used between benchmark repetitions)."""
-        self._now = 0.0
-        self._by_category.clear()
-        self._marks.clear()
-
-
-@dataclass
-class StopwatchResult:
-    """Result of timing a callable against a :class:`SimClock`.
-
-    The per-category breakdown lives in ``elapsed.by_category``.
-    """
-
-    value: object
-    elapsed: TimeBreakdown
-
-
-def time_call(clock: SimClock, fn, *args, **kwargs) -> StopwatchResult:
-    """Run ``fn(*args, **kwargs)`` and report the simulated time it charged."""
-    before = clock.snapshot()
-    value = fn(*args, **kwargs)
-    return StopwatchResult(value=value, elapsed=clock.elapsed_since(before))

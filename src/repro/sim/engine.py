@@ -18,7 +18,7 @@ Primitives
     The event heap plus virtual ``now``.  Exposes the same
     ``add_listener``/``remove_listener`` surface as
     :class:`repro.sim.clock.SimClock`, so a
-    :class:`repro.sim.trace.TraceRecorder` attaches to virtual time
+    :class:`repro.obs.tracer.SpanTracer` attaches to virtual time
     unchanged.
 :class:`Process`
     A generator wrapped into the event loop.  The generator ``yield``\\ s
@@ -135,7 +135,7 @@ class EventClock:
     """Virtual time: an event heap with SimClock's listener surface.
 
     Listeners receive ``(start, seconds, category)`` exactly as
-    :class:`repro.sim.clock.SimClock` emits them, so a ``TraceRecorder``
+    :class:`repro.sim.clock.SimClock` emits them, so a ``SpanTracer``
     (or any other charge consumer) attaches to a kernel run unchanged.
     Unlike ``SimClock``, time here advances by popping events, not by
     ``advance`` calls; charges describe work the processes placed on

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import SimClock, TimeBreakdown, time_call
+from repro.sim.clock import SimClock, TimeBreakdown
 
 
 class TestSimClock:
@@ -50,25 +50,6 @@ class TestSimClock:
         assert delta.by_category == {"a": pytest.approx(2.0),
                                      "b": pytest.approx(3.0)}
 
-    def test_marks(self):
-        clock = SimClock()
-        clock.advance(1.0)
-        clock.mark("after-first")
-        assert clock.marks == [("after-first", 1.0)]
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(5.0, "x")
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.snapshot().by_category == {}
-
-    def test_categories_sorted(self):
-        clock = SimClock()
-        clock.advance(1.0, "b")
-        clock.advance(1.0, "a")
-        assert [name for name, _ in clock.categories()] == ["a", "b"]
-
 
 class TestTimeBreakdown:
     def test_fraction(self):
@@ -87,16 +68,3 @@ class TestTimeBreakdown:
         delta = later - earlier
         assert "a" not in delta.by_category
         assert delta.by_category["b"] == pytest.approx(1.0)
-
-
-def test_time_call_reports_elapsed():
-    clock = SimClock()
-
-    def work():
-        clock.advance(2.0, "work")
-        return 42
-
-    result = time_call(clock, work)
-    assert result.value == 42
-    assert result.elapsed.total == pytest.approx(2.0)
-    assert result.elapsed.by_category == {"work": pytest.approx(2.0)}

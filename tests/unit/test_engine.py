@@ -18,7 +18,7 @@ from repro.sim.engine import (
     WorkUnit,
     run_lanes,
 )
-from repro.sim.trace import TraceRecorder
+from repro.obs.tracer import SpanTracer
 
 
 class TestEventOrdering:
@@ -56,17 +56,17 @@ class TestEventClock:
         clock.run()
         assert order == ["reserved", "fresh"]
 
-    def test_trace_recorder_attaches_unchanged(self):
-        """The SimClock listener surface carries over: a TraceRecorder
+    def test_span_tracer_attaches_unchanged(self):
+        """The SimClock listener surface carries over: a SpanTracer
         sees kernel charges exactly as it sees clock advances."""
         clock = EventClock()
-        with TraceRecorder(clock) as recorder:
-            clock.charge(1.0, 2.0, "gpu")
-            clock.charge(3.0, 0.0, "noise")  # zero-length: dropped
-        events = recorder.events
-        assert len(events) == 1
-        assert (events[0].start, events[0].duration,
-                events[0].category) == (1.0, 2.0, "gpu")
+        tracer = SpanTracer()
+        tracer.attach(clock)
+        clock.charge(1.0, 2.0, "gpu")
+        clock.charge(3.0, 0.0, "noise")  # zero-length: dropped
+        tracer.detach()
+        (leaf,) = tracer.roots
+        assert (leaf.start, leaf.duration, leaf.category) == (1.0, 2.0, "gpu")
 
 
 class TestProcess:

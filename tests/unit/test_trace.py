@@ -1,9 +1,10 @@
-"""Unit tests for clock listeners and the trace recorder."""
+"""Unit tests for clock listeners and charge traces."""
 
 import pytest
 
+from repro.obs.tracer import SpanTracer
 from repro.sim.clock import SimClock
-from repro.sim.trace import TraceRecorder, record
+from repro.sim.trace import TraceEvent, render_lanes
 
 
 class TestClockListeners:
@@ -27,70 +28,74 @@ class TestClockListeners:
 
 
 class TestTraceRecorder:
+    """A clock's charge trace, recorded as :class:`SpanTracer` leaves:
+    every charge made while the tracer is attached, outside any open
+    span, becomes one root leaf span."""
+
     def test_records_only_while_attached(self):
         clock = SimClock()
-        recorder = TraceRecorder(clock)
+        tracer = SpanTracer()
         clock.advance(1.0, "before")
-        with recorder:
-            clock.advance(2.0, "during")
+        tracer.attach(clock)
+        clock.advance(2.0, "during")
+        tracer.detach()
         clock.advance(3.0, "after")
-        assert [e.category for e in recorder.events] == ["during"]
+        assert [leaf.category for leaf in tracer.spans()] == ["during"]
 
     def test_zero_duration_charges_skipped(self):
         clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(0.0, "noop")
-            clock.advance(1.0, "real")
-        assert len(recorder.events) == 1
+        tracer = SpanTracer()
+        tracer.attach(clock)
+        clock.advance(0.0, "noop")
+        clock.advance(1.0, "real")
+        assert len(tracer.roots) == 1
 
     def test_queries(self):
         clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(1.0, "copy")
-            clock.advance(2.0, "compute")
-            clock.advance(0.5, "copy")
-        assert recorder.total() == pytest.approx(3.5)
-        assert recorder.total("copy") == pytest.approx(1.5)
-        assert recorder.first("compute").start == pytest.approx(1.0)
-        assert len(recorder.by_category("copy")) == 2
+        tracer = SpanTracer()
+        tracer.attach(clock)
+        clock.advance(1.0, "copy")
+        clock.advance(2.0, "compute")
+        clock.advance(0.5, "copy")
+        copies = [leaf for leaf in tracer.spans() if leaf.category == "copy"]
+        assert sum(leaf.duration for leaf in tracer.spans()) \
+            == pytest.approx(3.5)
+        assert sum(leaf.duration for leaf in copies) == pytest.approx(1.5)
+        assert tracer.find("compute").start == pytest.approx(1.0)
+        assert len(copies) == 2
 
     def test_event_end(self):
         clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(1.5, "x")
-        assert recorder.events[0].end == pytest.approx(1.5)
+        tracer = SpanTracer()
+        tracer.attach(clock)
+        clock.advance(1.5, "x")
+        assert tracer.roots[0].end == pytest.approx(1.5)
 
     def test_render_empty(self):
-        assert "empty" in TraceRecorder(SimClock()).render()
+        assert "empty" in render_lanes({})
 
     def test_render_rows_per_category(self):
+        """Leaves grouped by category render one row per category."""
         clock = SimClock()
-        with record(clock) as recorder:
-            clock.advance(1.0, "alpha")
-            clock.advance(1.0, "beta")
-        text = recorder.render(width=20)
-        assert "alpha" in text and "beta" in text and "#" in text
-
-    def test_render_single_instant_trace_reports_zero_span(self):
-        """All events at one instant: genuine 0-span, no epsilon fudge."""
-        from repro.sim.trace import TraceEvent
-        recorder = TraceRecorder(SimClock())
-        # _record skips zero durations from clocks, but render must cope
-        # with zero-span inputs fed programmatically.
-        recorder.events = [TraceEvent(2.0, 0.0, "only")]
-        text = recorder.render(width=20)
-        assert "0.000 ms" in text
-        assert "only" in text and "#" in text
+        tracer = SpanTracer()
+        tracer.attach(clock)
+        clock.advance(1.0, "alpha")
+        clock.advance(1.0, "gpu")
+        rows = {}
+        for leaf in tracer.spans():
+            rows.setdefault(leaf.category, []).append(
+                TraceEvent(leaf.start, leaf.duration, "gpu"))
+        text = render_lanes(rows, width=20)
+        assert "alpha" in text and "gpu" in text and "#" in text
 
     def test_render_lanes_single_instant(self):
-        from repro.sim.trace import TraceEvent, render_lanes
         lanes = {"t0": [TraceEvent(1.0, 0.0, "gpu")]}
         text = render_lanes(lanes, width=12)
         assert "0.000 ms" in text
         assert "#" in text
 
     def test_time_axis_zero_span_maps_to_column_zero(self):
-        from repro.sim.trace import TraceEvent, _time_axis
+        from repro.sim.trace import _time_axis
         span, column = _time_axis([TraceEvent(5.0, 0.0, "x")], 40)
         assert span == 0.0
         assert column(5.0) == 0
@@ -107,8 +112,10 @@ class TestTraceRecorder:
         service = machine.boot_hix()
         app = machine.hix_session(service, "traced").cuCtxCreate()
         buf = app.cuMemAlloc(4096)
-        with record(machine.clock) as recorder:
-            app.cuMemcpyHtoD(buf, b"\x11" * 4096)
-        copy = recorder.first("copy_h2d")
-        crypto = recorder.first("crypto_gpu")
+        tracer = SpanTracer()
+        tracer.attach(machine.clock)
+        app.cuMemcpyHtoD(buf, b"\x11" * 4096)
+        tracer.detach()
+        copy = tracer.find("copy_h2d")
+        crypto = tracer.find("crypto_gpu")
         assert copy is not None and crypto is not None
