@@ -7,7 +7,9 @@ request of a serve run settles and what the run wrote about it:
   each engine the run finished (baseline and chaos, in finish order),
   each request's ``(tenant, label, outcome, error_kind, attempts,
   session_epoch)``; the run's audit events as ``(kind, subject, time,
-  ok, error_kind, detail)``; and the fired alerts;
+  ok, error_kind, detail)``; the fired alerts; the rendered verdict
+  (security checks, fairness numbers, detection latencies); and each
+  report's ``(name, served, submitted, finish_time)`` tenant rows;
 * a set of small serve runs that reach the outcomes the campaigns never
   do at seed 0 — quota denial, channel backpressure, enclave failure,
   breaker shed, a memo-hit request whose deferred execution fails at
@@ -80,6 +82,11 @@ def _audit(events):
             for event in events]
 
 
+def _tenant_rows(report):
+    return [[row.name, row.served, row.submitted, row.finish_time]
+            for row in report.tenants]
+
+
 def _normalise(value):
     """JSON round trip, so tuples compare equal to the golden's lists."""
     return json.loads(json.dumps(value))
@@ -94,7 +101,10 @@ def _campaign_capture(name, backend):
             "audit": _audit(log.events_since(mark)),
             "alerts": [[alert.rule, alert.tenant, alert.firing_at,
                         alert.resolved_at, alert.cause, alert.detail]
-                       for alert in result.alerts]}
+                       for alert in result.alerts],
+            "render": result.render(),
+            "baseline": _tenant_rows(result.baseline),
+            "chaos": _tenant_rows(result.chaos)}
 
 
 # -- serve recipes that reach the rarer outcomes ------------------------------
