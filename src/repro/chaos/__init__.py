@@ -24,10 +24,12 @@ virtual-time detection latency.
   injected fault with audit/alert evidence and a detection latency;
 * :mod:`~repro.chaos.campaign` — named campaigns composing all of the
   above into a deterministic, seeded three-sided verdict
-  (``repro chaos`` on the command line);
-* :mod:`~repro.chaos.fleet` — the fleet-tier campaign: session
-  migration between machines under fire, traps swept on both
-  isolation domains.
+  (``repro chaos`` on the command line).  One runner,
+  :func:`~repro.chaos.campaign.run_campaign_obj`, runs every campaign
+  on a :class:`~repro.fleet.Fleet` of ``Campaign.machines`` machines;
+* :mod:`~repro.chaos.fleet` — the ``fleet-migration`` campaign's fault
+  script: session migration between machines under fire, traps swept
+  on both isolation domains.
 """
 
 from repro.chaos.faults import (
@@ -51,7 +53,6 @@ from repro.chaos.campaign import (
     get_campaign,
     run_campaign,
 )
-from repro.chaos.fleet import FLEET_CAMPAIGN, run_fleet_campaign
 
 __all__ = [
     "AdversarialArbitration",
@@ -71,6 +72,4 @@ __all__ = [
     "campaign_catalog",
     "get_campaign",
     "run_campaign",
-    "FLEET_CAMPAIGN",
-    "run_fleet_campaign",
 ]

@@ -23,6 +23,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.chaos.workload import chain_recover
 from repro.errors import BackpressureError
 from repro.serve.engine import TenantClient
 from repro.serve.queues import ServeRequest
@@ -76,10 +77,8 @@ def submit_queue_flood(client: TenantClient, floods: int = 32,
         except BackpressureError:
             plan.backpressured += 1
 
-    def recover(api, nbytes: int = nbytes):
-        state["dptr"] = api.cuMemAlloc(nbytes)
-
-    client.on_recover = _chain_recover(client.on_recover, recover)
+    # Recovery re-provisions exactly what setup allocated.
+    client.on_recover = chain_recover(client.on_recover, setup)
     return plan
 
 
@@ -142,23 +141,8 @@ def submit_timeout_surf(client: TenantClient, surfs: int = 6,
         except BackpressureError:
             plan.backpressured += 1
 
-    def recover(api):
-        state["dptr"] = api.cuMemAlloc(4096)
-        state["module"] = api.cuModuleLoad(["builtin.memset32"])
-
-    client.on_recover = _chain_recover(client.on_recover, recover)
+    client.on_recover = chain_recover(client.on_recover, setup)
     return plan
-
-
-def _chain_recover(previous, recover):
-    if previous is None:
-        return recover
-
-    def chained(api):
-        previous(api)
-        recover(api)
-
-    return chained
 
 
 ABUSE_KINDS = {

@@ -122,15 +122,11 @@ def match_detections(faults: Sequence, events: Sequence[AuditEvent],
         at = fault.at
         tenant = fault.tenant or ""
         candidates: List[tuple] = []
-        if kind == "session_kill":
-            # The killed session surfaces as sealed-path failures on the
-            # victim, then a recovery epoch bump.
-            candidates += _audit_matches(
-                events, ("serve.fault_detected", "serve.session_recovered"),
-                at, subject=fault.tenant)
-        elif kind in ("dma_redirect", "aead_tamper"):
-            # Redirected/tampered frames fail AEAD open or come back as
-            # structured enclave rejections on the targeted tenant.
+        if kind in ("session_kill", "dma_redirect", "aead_tamper"):
+            # A killed session, redirected DMA or tampered frame surfaces
+            # on the targeted tenant: sealed-path failures (AEAD open
+            # fails, the session is gone, or the enclave rejects the
+            # request), then a recovery epoch bump.
             candidates += _audit_matches(
                 events, ("serve.fault_detected", "serve.session_recovered"),
                 at, subject=fault.tenant)

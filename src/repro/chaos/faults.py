@@ -53,6 +53,12 @@ class ChaosContext:
                 return client
         raise KeyError(f"no tenant named {name!r}")
 
+    def channel_end(self, name: str):
+        """Tenant *name*'s live sealed-channel end, or ``None`` when it
+        has no session at this instant."""
+        api = self.client(name).api
+        return getattr(api, "_end", None) if api else None
+
     def adversary(self):
         # Built fresh per use: a cold boot replaces the OS kernel the
         # adversary's ring-0 process lives in.
@@ -151,9 +157,8 @@ class SessionKillFault(Fault):
     kind = "session_kill"
 
     def apply(self, ctx: ChaosContext) -> None:
-        client = ctx.client(self.tenant)
         service = ctx.service
-        end = getattr(client.api, "_end", None) if client.api else None
+        end = ctx.channel_end(self.tenant)
         session = (service.sessions.get(end.session_id)
                    if end is not None else None)
         if session is None:
@@ -183,8 +188,7 @@ class DmaRedirectFault(Fault):
         self.trap: Optional[Tuple[int, int]] = None  # (paddr, nbytes)
 
     def apply(self, ctx: ChaosContext) -> None:
-        client = ctx.client(self.tenant)
-        end = getattr(client.api, "_end", None) if client.api else None
+        end = ctx.channel_end(self.tenant)
         if end is None:
             self.detail = "no live channel at fire time"
             return
@@ -222,9 +226,8 @@ class AeadTamperFault(Fault):
         self.trap: Optional[Tuple[int, int]] = None
 
     def apply(self, ctx: ChaosContext) -> None:
-        client = ctx.client(self.tenant)
         service = ctx.service
-        end = getattr(client.api, "_end", None) if client.api else None
+        end = ctx.channel_end(self.tenant)
         if end is None:
             self.detail = "no live channel at fire time"
             return

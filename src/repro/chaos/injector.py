@@ -48,8 +48,8 @@ class FaultInjector:
         """Schedule every fault onto the run's kernel.
 
         Builds a fresh :class:`EventClock` unless *kernel* is given —
-        fleet campaigns pass the shared clock so per-machine injectors
-        all book their faults on the one timeline the fleet runs on.
+        campaigns pass their fleet's shared clock so per-machine
+        injectors all book their faults on the one timeline it runs on.
         """
         if kernel is None:
             kernel = EventClock()

@@ -36,6 +36,18 @@ def secret_marker(tenant: str) -> bytes:
     return SECRET_PREFIX + tenant.encode("ascii")
 
 
+def chain_recover(previous, recover):
+    """An ``on_recover`` hook running *previous* (if any), then *recover*."""
+    if previous is None:
+        return recover
+
+    def chained(api):
+        previous(api)
+        recover(api)
+
+    return chained
+
+
 @dataclass
 class _Round:
     payload: bytes
@@ -140,13 +152,6 @@ def submit_victim_stream(client: TenantClient, rounds: int = 4,
 
     plan.submitted.append(client.submit(f"{client.name}:cleanup", cleanup))
 
-    previous_recover = client.on_recover
-
-    def recover(api, nbytes: int = nbytes):
-        if previous_recover is not None:
-            previous_recover(api)
-        state["dptr"] = api.cuMemAlloc(nbytes)
-        state["module"] = api.cuModuleLoad(["builtin.memset32"])
-
-    client.on_recover = recover
+    # Recovery re-provisions exactly what setup allocated.
+    client.on_recover = chain_recover(client.on_recover, setup)
     return plan

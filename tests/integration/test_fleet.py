@@ -196,8 +196,11 @@ class TestFleetChaos:
         assert "dma_redirect.trap_ciphertext_only" in names
 
     def test_campaign_catalog_lists_fleet(self):
-        from repro.chaos import FLEET_CAMPAIGN, campaign_catalog
-        assert FLEET_CAMPAIGN in campaign_catalog()
+        from repro.chaos import CAMPAIGNS, campaign_catalog, get_campaign
+        assert campaign_catalog() == {
+            name: campaign.description
+            for name, campaign in CAMPAIGNS.items()}
+        assert get_campaign("fleet-migration").machines == 2
 
 
 class TestFleetCli:
