@@ -7,6 +7,8 @@ fairness, detection), and the determinism contract (same campaign +
 same seed => byte-identical rendered report).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
@@ -15,7 +17,7 @@ from repro.chaos import (
     SessionKillFault,
     run_campaign,
 )
-from repro.chaos.campaign import CAMPAIGNS, get_campaign
+from repro.chaos.campaign import CAMPAIGNS, get_campaign, run_campaign_obj
 from repro.chaos.workload import submit_victim_stream
 from repro.obs import metrics as obs_metrics
 from repro.serve import BreakerConfig, RetryPolicy, ServeEngine
@@ -91,6 +93,13 @@ class TestCampaigns:
         assert {"churn-reset", "smoke", "storm"} <= set(CAMPAIGNS)
         with pytest.raises(KeyError):
             get_campaign("no-such-campaign")
+
+    def test_fault_script_needs_one_list_per_machine(self):
+        # A missing per-machine list must not silently drop faults.
+        campaign = replace(get_campaign("smoke"),
+                           faults_factory=lambda fleet, campaign: [[], []])
+        with pytest.raises(ValueError, match="2 fault list"):
+            run_campaign_obj(campaign, seed=0)
 
     def test_smoke_campaign_verdict(self):
         result = run_campaign("smoke", seed=0)
