@@ -61,7 +61,7 @@ from repro.errors import (
 )
 from repro.gpu.module import DevPtr, ParamValue
 from repro.obs.audit import audit_log
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
 from repro.sgx.attestation import verify_local_report
@@ -70,6 +70,12 @@ from repro.sim.costs import CostModel
 from repro.sim.pipeline import pipelined_time, pipelined_times
 
 HostBuffer = Union[bytes, bytearray, np.ndarray]
+
+
+def _api_traced(op: str, attrs=None):
+    """``@traced`` for a sealed-RPC entry point: span ``<backend>.<op>``
+    in the backend's category."""
+    return traced("{0.backend_name}." + op, "{0.backend_name}", attrs)
 
 
 def _as_buffer(data: HostBuffer) -> memoryview:
@@ -146,10 +152,6 @@ class SealedRpcApi:
         if self._clock is not None and seconds > 0.0:
             self._clock.advance(seconds, category)
 
-    def _span(self, op: str, **attrs):
-        return _OBS.tracer.span(f"{self.backend_name}.{op}",
-                                self.backend_name, **attrs)
-
     # -- lifecycle ------------------------------------------------------------------
 
     def __enter__(self) -> "SealedRpcApi":
@@ -168,17 +170,14 @@ class SealedRpcApi:
     def cuInit(self) -> "SealedRpcApi":
         return self
 
+    @_api_traced("cuCtxCreate", lambda self: {"pid": self._process.pid})
     def cuCtxCreate(self) -> "SealedRpcApi":
-        """Attested session setup and key exchange (Section 4.4.1)."""
-        if _OBS.tracer is None:
-            return self._audited_ctx_create()
-        with self._span("cuCtxCreate", pid=self._process.pid):
-            return self._audited_ctx_create()
+        """Attested session setup and key exchange (Section 4.4.1).
 
-    def _audited_ctx_create(self) -> "SealedRpcApi":
-        """Session setup with its security evidence on the audit log:
-        the attestation verdict — including which stage failed, a cert
-        chain or a report — and the key exchange."""
+        The security evidence goes on the audit log: the attestation
+        verdict — including which stage failed, a cert chain or a
+        report — and the key exchange.
+        """
         log = audit_log()
         subject = self._process.name
         kind = self.backend_name
@@ -234,13 +233,10 @@ class SealedRpcApi:
             enclave_mode=self.enclave_mode))
 
     def cuCtxDestroy(self) -> None:
-        if self._end is None:
-            return
-        if _OBS.tracer is None:
-            return self._cuCtxDestroy()
-        with self._span("cuCtxDestroy", ctx_id=self._ctx_id):
-            return self._cuCtxDestroy()
+        if self._end is not None:
+            self._cuCtxDestroy()
 
+    @_api_traced("cuCtxDestroy", lambda self: {"ctx_id": self._ctx_id})
     def _cuCtxDestroy(self) -> None:
         self._request({"op": protocol.OP_CTX_DESTROY})
         self._end = None
@@ -348,6 +344,8 @@ class SealedRpcApi:
                 self._charge(crypto, "crypto_gpu")
                 self._charge(float(seconds), "copy_d2h")
 
+    @_api_traced("cuMemcpyHtoD", lambda self, dptr, data: {
+        "ctx_id": self._ctx_id, "bytes": _as_buffer(data).nbytes})
     def cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         """Single-copy secure host-to-device transfer (Section 4.4.2/4.4.3).
 
@@ -361,13 +359,6 @@ class SealedRpcApi:
         copies) and every chunk is sealed into one reused per-session
         frame buffer instead of a fresh blob allocation.
         """
-        if _OBS.tracer is None:
-            return self._cuMemcpyHtoD(dptr, data)
-        with self._span("cuMemcpyHtoD", ctx_id=self._ctx_id,
-                        bytes=_as_buffer(data).nbytes):
-            return self._cuMemcpyHtoD(dptr, data)
-
-    def _cuMemcpyHtoD(self, dptr: DevPtr, data: HostBuffer) -> None:
         raw = _as_buffer(data)
         self._scalar_htod_bytes(dptr, raw)
         if self._costs is not None:
@@ -391,14 +382,10 @@ class SealedRpcApi:
             if not raw.nbytes:
                 break
 
+    @_api_traced("cuMemcpyDtoH", lambda self, dptr, nbytes: {
+        "ctx_id": self._ctx_id, "bytes": nbytes})
     def cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
         """Single-copy secure device-to-host transfer."""
-        if _OBS.tracer is None:
-            return self._cuMemcpyDtoH(dptr, nbytes)
-        with self._span("cuMemcpyDtoH", ctx_id=self._ctx_id, bytes=nbytes):
-            return self._cuMemcpyDtoH(dptr, nbytes)
-
-    def _cuMemcpyDtoH(self, dptr: DevPtr, nbytes: int) -> bytes:
         out = self._cuMemcpyDtoH_uncharged(dptr, nbytes)
         if self._costs is not None:
             self._charge_transfers([nbytes], 1, upload=False)
@@ -427,6 +414,8 @@ class SealedRpcApi:
 
     # -- batched transfers --------------------------------------------------------------------
 
+    @_api_traced("cuMemcpyHtoDBatch", lambda self, items: {
+        "ctx_id": self._ctx_id, "items": len(items)})
     def cuMemcpyHtoDBatch(self, items: Sequence) -> None:
         """Batched uploads: ``items`` is ``[(DevPtr, data), ...]``.
 
@@ -440,13 +429,6 @@ class SealedRpcApi:
         virtual timeline.  Items larger than one frame fall back to the
         scalar chunked path.
         """
-        if _OBS.tracer is None:
-            return self._cuMemcpyHtoDBatch(items)
-        with self._span("cuMemcpyHtoDBatch", ctx_id=self._ctx_id,
-                        items=len(items)):
-            return self._cuMemcpyHtoDBatch(items)
-
-    def _cuMemcpyHtoDBatch(self, items: Sequence) -> None:
         raws = [_as_buffer(data) for _, data in items]
         sizes = [raw.nbytes for raw in raws]
         seal_buf = self._chunk_seal_buf()
@@ -470,6 +452,8 @@ class SealedRpcApi:
             # one-RPC-per-item cost the scalar sequence would have paid.
             self._charge_transfers(sizes, frames, upload=True)
 
+    @_api_traced("cuMemcpyDtoHBatch", lambda self, items: {
+        "ctx_id": self._ctx_id, "items": len(items)})
     def cuMemcpyDtoHBatch(self, items: Sequence) -> list:
         """Batched downloads: ``items`` is ``[(DevPtr, nbytes), ...]``.
 
@@ -480,13 +464,6 @@ class SealedRpcApi:
         (returned in submission order).  Per-item virtual time matches
         the equivalent scalar :meth:`cuMemcpyDtoH` sequence.
         """
-        if _OBS.tracer is None:
-            return self._cuMemcpyDtoHBatch(items)
-        with self._span("cuMemcpyDtoHBatch", ctx_id=self._ctx_id,
-                        items=len(items)):
-            return self._cuMemcpyDtoHBatch(items)
-
-    def _cuMemcpyDtoHBatch(self, items: Sequence) -> list:
         sizes = [int(nbytes) for _, nbytes in items]
         results: list = [None] * len(items)
         frames = 0
@@ -522,20 +499,12 @@ class SealedRpcApi:
                                "kernels": list(kernel_names)})
         return HixModuleHandle(int(reply["module_id"]), kernel_names)
 
+    @_api_traced("cuLaunchKernel",
+                 lambda self, module, kernel_name, *_, **__: {
+                     "ctx_id": self._ctx_id, "kernel": kernel_name})
     def cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
                        params: Sequence[ParamValue],
                        compute_seconds: float = 0.0) -> None:
-        if _OBS.tracer is None:
-            return self._cuLaunchKernel(module, kernel_name, params,
-                                        compute_seconds)
-        with self._span("cuLaunchKernel", ctx_id=self._ctx_id,
-                        kernel=kernel_name):
-            return self._cuLaunchKernel(module, kernel_name, params,
-                                        compute_seconds)
-
-    def _cuLaunchKernel(self, module: HixModuleHandle, kernel_name: str,
-                        params: Sequence[ParamValue],
-                        compute_seconds: float = 0.0) -> None:
         if self._costs is not None:
             self._charge(self._tee.kernel_launch(self._costs), "launch")
         self._request({"op": protocol.OP_LAUNCH,
@@ -544,6 +513,8 @@ class SealedRpcApi:
                        "params": protocol.encode_params(list(params)),
                        "compute_seconds": compute_seconds})
 
+    @_api_traced("cuLaunchKernelBatch", lambda self, module, launches: {
+        "ctx_id": self._ctx_id, "items": len(launches)})
     def cuLaunchKernelBatch(self, module: HixModuleHandle,
                             launches: Sequence) -> None:
         """Batched launches: ``launches`` is ``[(kernel, params, secs), ...]``.
@@ -552,14 +523,6 @@ class SealedRpcApi:
         seal + one open instead of one per launch); the service runs the
         launches in order.  Launch overhead is still charged per launch.
         """
-        if _OBS.tracer is None:
-            return self._cuLaunchKernelBatch(module, launches)
-        with self._span("cuLaunchKernelBatch", ctx_id=self._ctx_id,
-                        items=len(launches)):
-            return self._cuLaunchKernelBatch(module, launches)
-
-    def _cuLaunchKernelBatch(self, module: HixModuleHandle,
-                             launches: Sequence) -> None:
         if not launches:
             return
         if self._costs is not None:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.crypto.nonce import NONCE_LEN, NonceSequence, ReplayGuard
 from repro.crypto.suite import AeadSuite, TAG_LEN
 from repro.errors import IntegrityError
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 
 _MAGIC = 0x48534231  # "HSB1"
 _HEADER = struct.Struct(f"<I{NONCE_LEN}s{TAG_LEN}sQ")
@@ -33,23 +33,19 @@ def sealed_size(plaintext_len: int) -> int:
     return HEADER_LEN + plaintext_len
 
 
+@traced("aead.seal", "aead",
+        lambda suite, nonces, plaintext, *_, **__: {"bytes": len(plaintext)})
 def seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
               associated_data: bytes = b"") -> bytes:
     """Encrypt *plaintext* into a framed blob with a fresh nonce."""
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_blob(suite, nonces, plaintext, associated_data)
-    with tracer.span("aead.seal", "aead", bytes=len(plaintext)):
-        return _seal_blob(suite, nonces, plaintext, associated_data)
-
-
-def _seal_blob(suite: AeadSuite, nonces: NonceSequence, plaintext: bytes,
-               associated_data: bytes = b"") -> bytes:
     nonce = nonces.next()
     ciphertext, tag = suite.seal(nonce, plaintext, associated_data)
     return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
 
 
+@traced("aead.seal", "aead",
+        lambda suite, nonces, plaintext, *_, **__: {
+            "bytes": memoryview(plaintext).nbytes})
 def seal_blob_into(suite: AeadSuite, nonces: NonceSequence, plaintext,
                    out: bytearray, associated_data: bytes = b"") -> int:
     """Seal *plaintext* into the reusable buffer *out*; returns frame length.
@@ -59,16 +55,6 @@ def seal_blob_into(suite: AeadSuite, nonces: NonceSequence, plaintext,
     of concatenating fresh ``bytes`` per chunk, so steady-state sealing
     allocates only the ciphertext the AEAD engine itself produces.
     """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_blob_into(suite, nonces, plaintext, out, associated_data)
-    with tracer.span("aead.seal", "aead",
-                     bytes=memoryview(plaintext).nbytes):
-        return _seal_blob_into(suite, nonces, plaintext, out, associated_data)
-
-
-def _seal_blob_into(suite: AeadSuite, nonces: NonceSequence, plaintext,
-                    out: bytearray, associated_data: bytes = b"") -> int:
     nonce = nonces.next()
     ciphertext, tag = suite.seal(nonce, plaintext, associated_data)
     total = HEADER_LEN + len(ciphertext)
@@ -80,6 +66,11 @@ def _seal_blob_into(suite: AeadSuite, nonces: NonceSequence, plaintext,
     return total
 
 
+def _chunks_attrs(suite, nonces, chunks, *_, **__):
+    return {"bytes": sum(len(c) for c in chunks), "chunks": len(chunks)}
+
+
+@traced("aead.seal", "aead", _chunks_attrs)
 def seal_chunks_into(suite: AeadSuite, nonces: NonceSequence,
                      chunks: Sequence[bytes], out: bytearray,
                      associated_data: bytes = b"") -> int:
@@ -90,17 +81,6 @@ def seal_chunks_into(suite: AeadSuite, nonces: NonceSequence,
     splits the plaintext with the out-of-band length table via
     :func:`open_blob_chunks`.  Returns the frame length.
     """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_chunks_into(suite, nonces, chunks, out, associated_data)
-    with tracer.span("aead.seal", "aead",
-                     bytes=sum(len(c) for c in chunks), chunks=len(chunks)):
-        return _seal_chunks_into(suite, nonces, chunks, out, associated_data)
-
-
-def _seal_chunks_into(suite: AeadSuite, nonces: NonceSequence,
-                      chunks: Sequence[bytes], out: bytearray,
-                      associated_data: bytes = b"") -> int:
     nonce = nonces.next()
     ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
     total = HEADER_LEN + len(ciphertext)
@@ -112,26 +92,19 @@ def _seal_chunks_into(suite: AeadSuite, nonces: NonceSequence,
     return total
 
 
+@traced("aead.seal", "aead", _chunks_attrs)
 def seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
                      chunks: Sequence[bytes],
                      associated_data: bytes = b"") -> bytes:
     """Batch variant of :func:`seal_blob`: one frame, one AEAD call."""
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _seal_blob_chunks(suite, nonces, chunks, associated_data)
-    with tracer.span("aead.seal", "aead",
-                     bytes=sum(len(c) for c in chunks), chunks=len(chunks)):
-        return _seal_blob_chunks(suite, nonces, chunks, associated_data)
-
-
-def _seal_blob_chunks(suite: AeadSuite, nonces: NonceSequence,
-                      chunks: Sequence[bytes],
-                      associated_data: bytes = b"") -> bytes:
     nonce = nonces.next()
     ciphertext, tag = suite.seal_chunks(nonce, chunks, associated_data)
     return _HEADER.pack(_MAGIC, nonce, tag, len(ciphertext)) + ciphertext
 
 
+@traced("aead.open", "aead",
+        lambda suite, raw, lengths, *_, **__: {
+            "bytes": len(raw), "chunks": len(lengths)})
 def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
                      associated_data: bytes = b"",
                      replay_guard: Optional[ReplayGuard] = None
@@ -142,20 +115,6 @@ def open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
     whole batch; *lengths* is the out-of-band chunk-length table the
     sender announced in its sealed request.
     """
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _open_blob_chunks(suite, raw, lengths, associated_data,
-                                 replay_guard)
-    with tracer.span("aead.open", "aead", bytes=len(raw),
-                     chunks=len(lengths)):
-        return _open_blob_chunks(suite, raw, lengths, associated_data,
-                                 replay_guard)
-
-
-def _open_blob_chunks(suite: AeadSuite, raw: bytes, lengths: Sequence[int],
-                      associated_data: bytes = b"",
-                      replay_guard: Optional[ReplayGuard] = None
-                      ) -> List[bytes]:
     nonce, tag, ciphertext = parse_blob(raw)
     if replay_guard is not None:
         replay_guard.check(nonce)
@@ -175,18 +134,11 @@ def parse_blob(raw: bytes) -> Tuple[bytes, bytes, bytes]:
     return nonce, tag, bytes(raw[HEADER_LEN:HEADER_LEN + ct_len])
 
 
+@traced("aead.open", "aead",
+        lambda suite, raw, *_, **__: {"bytes": len(raw)})
 def open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
               replay_guard: Optional[ReplayGuard] = None) -> bytes:
     """Verify and decrypt a framed blob (optionally checking freshness)."""
-    tracer = _OBS.tracer
-    if tracer is None:
-        return _open_blob(suite, raw, associated_data, replay_guard)
-    with tracer.span("aead.open", "aead", bytes=len(raw)):
-        return _open_blob(suite, raw, associated_data, replay_guard)
-
-
-def _open_blob(suite: AeadSuite, raw: bytes, associated_data: bytes = b"",
-               replay_guard: Optional[ReplayGuard] = None) -> bytes:
     nonce, tag, ciphertext = parse_blob(raw)
     if replay_guard is not None:
         replay_guard.check(nonce)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.hw.address_map import AddressMap
 from repro.hw.iommu import Iommu
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 
 
 class DmaEngine:
@@ -31,15 +31,10 @@ class DmaEngine:
         self.bytes_read = 0
         self.bytes_written = 0
 
+    @traced("dma.read_host", "dma",
+            lambda self, bdf, io_addr, length: {"bdf": bdf, "bytes": length})
     def read_host(self, bdf: str, io_addr: int, length: int) -> bytes:
         """Device-initiated read of host memory (DMA read)."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._read_host(bdf, io_addr, length)
-        with tracer.span("dma.read_host", "dma", bdf=bdf, bytes=length):
-            return self._read_host(bdf, io_addr, length)
-
-    def _read_host(self, bdf: str, io_addr: int, length: int) -> bytes:
         pieces = self._iommu.translate_range(bdf, io_addr, length)
         if len(pieces) == 1:
             # Contiguous run: the address map hands back the bytes directly.
@@ -55,16 +50,11 @@ class DmaEngine:
             self.bytes_read += chunk
         return bytes(out)
 
+    @traced("dma.write_host", "dma",
+            lambda self, bdf, io_addr, data: {
+                "bdf": bdf, "bytes": memoryview(data).nbytes})
     def write_host(self, bdf: str, io_addr: int, data) -> None:
         """Device-initiated write to host memory (DMA write)."""
-        tracer = _OBS.tracer
-        if tracer is None:
-            return self._write_host(bdf, io_addr, data)
-        with tracer.span("dma.write_host", "dma", bdf=bdf,
-                         bytes=memoryview(data).nbytes):
-            return self._write_host(bdf, io_addr, data)
-
-    def _write_host(self, bdf: str, io_addr: int, data) -> None:
         view = memoryview(data)
         if view.ndim != 1 or view.format not in ("B", "b", "c"):
             view = view.cast("B")

@@ -16,22 +16,24 @@ Tenant / session / request identity travels as span *attributes*;
 charge inherits the tenant of the request span it happened under.
 
 Tracing is **off by default** and zero-cost when off: the process-wide
-state is one attribute on :data:`STATE`, instrumentation sites guard on
-``STATE.tracer is None`` (one load + one branch), and the convenience
-:func:`span` helper returns the shared no-op :data:`NULL_SPAN` context
-manager without allocating.  Enabling the tracer never touches any
-clock's arithmetic, so simulated-time results are bit-identical with
-tracing on or off (pinned by ``tests/unit/test_obs.py``).
+state is one attribute on :data:`STATE`, layer entry points carry the
+:func:`traced` decorator (one load + one branch before the call), and
+the convenience :func:`span` helper returns the shared no-op
+:data:`NULL_SPAN` context manager without allocating.  Enabling the
+tracer never touches any clock's arithmetic, so simulated-time results
+are bit-identical with tracing on or off (pinned by
+``tests/unit/test_obs.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span", "SpanTracer", "NULL_SPAN", "STATE",
-    "tracer", "set_tracer", "enable", "disable", "span",
+    "tracer", "set_tracer", "enable", "disable", "span", "traced",
 ]
 
 
@@ -268,3 +270,28 @@ def span(name: str, category: str = "span", **attrs):
     if active is None:
         return NULL_SPAN
     return active.span(name, category, **attrs)
+
+
+def traced(name: str, category: str,
+           attrs: Optional[Callable[..., Dict[str, object]]] = None):
+    """Decorate a layer entry point so every call runs inside a span.
+
+    *name* and *category* are ``str.format`` templates over the call's
+    positional arguments, so a method can name its span after its
+    instance (``"{0.backend_name}.cuMemcpyHtoD"``).  *attrs*, if given,
+    is called with the call's own arguments and returns the span's
+    attributes.  Names and attributes are built only while a tracer is
+    installed: the disabled path is one :data:`STATE` load, one branch
+    and the call.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def inner(*args, **kwargs):
+            active = STATE.tracer
+            if active is None:
+                return fn(*args, **kwargs)
+            with active.span(name.format(*args), category.format(*args),
+                             **(attrs(*args, **kwargs) if attrs else {})):
+                return fn(*args, **kwargs)
+        return inner
+    return wrap

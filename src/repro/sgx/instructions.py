@@ -24,7 +24,6 @@ Instruction set implemented (paper Sections 2.1 and 4.2.1):
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Callable, Dict, Optional
 
@@ -36,7 +35,7 @@ from repro.errors import (
 )
 from repro.hw.mmu import AccessContext, AccessType, PageFlags
 from repro.hw.phys_mem import PAGE_SIZE
-from repro.obs.tracer import STATE as _OBS
+from repro.obs.tracer import traced
 from repro.pcie.device import Bdf
 from repro.pcie.root_complex import RootComplex
 from repro.sgx.epc import Epc, PageType
@@ -44,24 +43,6 @@ from repro.sgx.hix_ext import GecsEntry, HixExtension
 from repro.sgx.secs import Secs
 
 _SOFTWARE_VISIBLE_TYPES = (PageType.REG, PageType.TCS)
-
-
-def _traced(name: str):
-    """Open an ``sgx``-category span around an instruction when tracing.
-
-    Disabled-tracer cost is one attribute load and a branch, so the
-    instruction dispatch path stays effectively free without a tracer.
-    """
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(self, *args, **kwargs):
-            tracer = _OBS.tracer
-            if tracer is None:
-                return fn(self, *args, **kwargs)
-            with tracer.span(name, "sgx"):
-                return fn(self, *args, **kwargs)
-        return inner
-    return wrap
 
 
 class SgxUnit:
@@ -100,7 +81,7 @@ class SgxUnit:
 
     # -- lifecycle instructions -------------------------------------------------
 
-    @_traced("sgx.ecreate")
+    @traced("sgx.ecreate", "sgx")
     def ecreate(self, base: int, size: int, owner_pid: Optional[int] = None) -> Secs:
         """ECREATE: allocate a SECS page and open the enclave's measurement."""
         self._charge("sgx_instruction_latency")
@@ -115,7 +96,7 @@ class SgxUnit:
         self._enclaves[enclave_id] = secs
         return secs
 
-    @_traced("sgx.eadd")
+    @traced("sgx.eadd", "sgx")
     def eadd(self, enclave_id: int, vaddr: int,
              page_type: PageType = PageType.REG) -> int:
         """EADD: bind a fresh EPC page at *vaddr*; returns its paddr."""
@@ -129,7 +110,7 @@ class SgxUnit:
         secs.measurement.record_eadd(vaddr - secs.base, page_type.value)
         return paddr
 
-    @_traced("sgx.eextend")
+    @traced("sgx.eextend", "sgx")
     def eextend(self, enclave_id: int, vaddr: int, content: bytes) -> None:
         """EEXTEND: fold page content into the measurement."""
         self._charge("sgx_instruction_latency")
@@ -138,7 +119,7 @@ class SgxUnit:
             raise EnclaveStateError("EEXTEND after EINIT")
         secs.measurement.record_eextend(vaddr - secs.base, content)
 
-    @_traced("sgx.einit")
+    @traced("sgx.einit", "sgx")
     def einit(self, enclave_id: int) -> bytes:
         """EINIT: freeze the measurement; the enclave becomes enterable."""
         self._charge("sgx_instruction_latency")
@@ -148,7 +129,7 @@ class SgxUnit:
         secs.initialized = True
         return secs.measurement.finalize()
 
-    @_traced("sgx.eenter")
+    @traced("sgx.eenter", "sgx")
     def eenter(self, enclave_id: int, asid: int) -> AccessContext:
         """EENTER: returns the enclave-mode access context for the CPU."""
         self._charge("enclave_transition")
@@ -159,7 +140,7 @@ class SgxUnit:
             raise EnclaveStateError(f"enclave {enclave_id} has been destroyed")
         return AccessContext(asid=asid, enclave_id=enclave_id)
 
-    @_traced("sgx.eexit")
+    @traced("sgx.eexit", "sgx")
     def eexit(self, asid: int) -> AccessContext:
         """EEXIT: back to an untrusted user context."""
         self._charge("enclave_transition")
@@ -183,7 +164,7 @@ class SgxUnit:
         return hkdf_sha256(self._platform_key, info=b"report" + target_measurement,
                            length=32)
 
-    @_traced("sgx.ereport")
+    @traced("sgx.ereport", "sgx")
     def ereport(self, enclave_id: int, target_measurement: bytes,
                 report_data: bytes):
         """EREPORT: build a report only the target enclave can verify."""
@@ -208,7 +189,7 @@ class SgxUnit:
 
     # -- HIX instructions -----------------------------------------------------------
 
-    @_traced("sgx.egcreate")
+    @traced("sgx.egcreate", "sgx")
     def egcreate(self, enclave_id: int, gpu_bdf: Bdf) -> GecsEntry:
         """EGCREATE: register *gpu_bdf* to this enclave and lock the path."""
         self._charge("sgx_instruction_latency")
@@ -227,7 +208,7 @@ class SgxUnit:
         secs.is_gpu_enclave = True
         return entry
 
-    @_traced("sgx.egadd")
+    @traced("sgx.egadd", "sgx")
     def egadd(self, enclave_id: int, vaddr: int, paddr: int,
               npages: int = 1):
         """EGADD: register trusted GPU MMIO pages in the TGMR."""
@@ -253,7 +234,7 @@ class SgxUnit:
             enclave_id, vaddr, paddr, npages, self._root_complex,
             elrange_check=elrange_first_hit)
 
-    @_traced("sgx.egdestroy")
+    @traced("sgx.egdestroy", "sgx")
     def egdestroy(self, enclave_id: int) -> None:
         """Graceful GPU release issued by the live owning GPU enclave.
 
