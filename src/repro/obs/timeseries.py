@@ -33,45 +33,11 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     CallbackGauge,
     Counter,
+    Histogram,
     MetricsRegistry,
-    bucket_quantile,
 )
 
-__all__ = ["WindowAccum", "TimeSeriesSampler"]
-
-
-class WindowAccum:
-    """Per-window accumulator for one observed series: explicit-bucket
-    counts plus sum/count/min/max, same shape as a registry histogram
-    but scoped to a single window."""
-
-    __slots__ = ("counts", "sum", "count", "min", "max")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * (n_buckets + 1)  # + overflow
-        self.sum = 0.0
-        self.count = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, buckets: Sequence[float], value: float) -> None:
-        index = 0
-        for bound in buckets:
-            if value <= bound:
-                break
-            index += 1
-        self.counts[index] += 1
-        self.sum += value
-        self.count += 1
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def quantile(self, buckets: Sequence[float], q: float
-                 ) -> Optional[float]:
-        return bucket_quantile(buckets, self.counts, q,
-                               lo=self.min, hi=self.max)
+__all__ = ["TimeSeriesSampler"]
 
 
 class TimeSeriesSampler:
@@ -97,7 +63,8 @@ class TimeSeriesSampler:
         self.max_windows = max_windows
         self.buckets = tuple(buckets)
         self._marks: Dict[str, Dict[int, float]] = {}
-        self._observed: Dict[str, Dict[int, WindowAccum]] = {}
+        #: series name -> window index -> that window's histogram.
+        self._observed: Dict[str, Dict[int, Histogram]] = {}
         #: boundary index -> {counter name: cumulative value}; boundary
         #: *k* is the instant ``k * width``, closing window ``k - 1``.
         self._samples: Dict[int, Dict[str, float]] = {}
@@ -183,8 +150,8 @@ class TimeSeriesSampler:
         index = int(time // self.width)
         accum = windows.get(index)
         if accum is None:
-            accum = windows[index] = WindowAccum(len(self.buckets))
-        accum.observe(self.buckets, value)
+            accum = windows[index] = Histogram(name, self.buckets)
+        accum.observe(value)
         self._evict(windows)
 
     def _evict(self, windows: Dict[int, object]) -> None:
@@ -224,19 +191,19 @@ class TimeSeriesSampler:
         return [(start, count / self.width)
                 for start, count in self.mark_series(name)]
 
-    def accum(self, name: str, index: int) -> Optional[WindowAccum]:
+    def accum(self, name: str, index: int) -> Optional[Histogram]:
         return self._observed.get(name, {}).get(index)
 
     def quantile(self, name: str, index: int, q: float) -> Optional[float]:
         accum = self.accum(name, index)
-        return None if accum is None else accum.quantile(self.buckets, q)
+        return None if accum is None else accum.quantile(q)
 
     def quantile_series(self, name: str, q: float
                         ) -> List[Tuple[float, float]]:
         windows = self._observed.get(name, {})
         series = []
         for index in sorted(windows):
-            estimate = windows[index].quantile(self.buckets, q)
+            estimate = windows[index].quantile(q)
             if estimate is not None:
                 series.append((self.window_start(index), estimate))
         return series
@@ -270,8 +237,8 @@ class TimeSeriesSampler:
                 "sum": accum.sum,
                 "min": accum.min,
                 "max": accum.max,
-                "p50": accum.quantile(self.buckets, 0.50),
-                "p99": accum.quantile(self.buckets, 0.99),
+                "p50": accum.quantile(0.50),
+                "p99": accum.quantile(0.99),
             } for index, accum in sorted(windows.items())]
         return {
             "width": self.width,
