@@ -2,10 +2,9 @@
 
 One process-wide :class:`MetricsRegistry` subsumes the counters that
 used to live scattered across subsystems — the machine fast-path
-counters (``repro.sim.trace.fastpath_counters``), the serving layer's
-queue and tenant accounting, and the event kernel's own statistics —
-behind one ``snapshot()`` API.  The legacy accessors remain as thin
-adapters over the same underlying sources.
+counters (``fastpath.*`` gauges), the serving layer's queue and tenant
+accounting, and the event kernel's own statistics — behind one
+``snapshot()`` API.
 
 Design points:
 

@@ -85,9 +85,8 @@ def render_lanes(lanes: "dict[str, List[TraceEvent]]",
     return "\n".join(lines)
 
 
-#: The machine data-plane counters, as (name, getter) pairs — the one
-#: source both the legacy :func:`fastpath_counters` accessor and the
-#: registry gauges (``fastpath.*``) are built from.
+#: The machine data-plane counters, as (name, getter) pairs — the
+#: source the registry gauges (``fastpath.*``) are built from.
 FASTPATH_GAUGES = (
     ("tlb_hits", lambda m: m.mmu.tlb.hits),
     ("tlb_misses", lambda m: m.mmu.tlb.misses),
@@ -98,14 +97,6 @@ FASTPATH_GAUGES = (
     ("dma_bytes_written", lambda m: m.dma.bytes_written),
     ("phys_zero_copy_bytes", lambda m: m.phys_mem.zero_copy_bytes),
     ("phys_pages_dropped", lambda m: m.phys_mem.pages_dropped),
-)
-
-#: Event-kernel counters surfaced alongside the machine fast path: the
-#: registry counter name and the key it gets in the legacy dict.
-ENGINE_COUNTERS = (
-    ("engine.events_processed", "engine_events_processed"),
-    ("engine.ctx_switches", "engine_ctx_switches"),
-    ("engine.deadline_expiries", "engine_deadline_expiries"),
 )
 
 
@@ -122,29 +113,3 @@ def register_fastpath_gauges(machine, registry=None) -> None:
         registry.gauge_fn(f"fastpath.{name}",
                           (lambda m=machine, g=getter: g(m)))
 
-
-def fastpath_counters(machine) -> "dict[str, int]":
-    """Wall-clock fast-path statistics of a machine's data plane.
-
-    These counters track how the *simulator* moved bytes (TLB service,
-    run coalescing, zero-copy page drops, DMA volumes) — they have no
-    effect on simulated time, and are surfaced so runs can confirm the
-    fast path actually engaged (e.g. a TLB hit rate near 1.0 and a
-    nonzero coalesce count on any steady-state workload).
-
-    This is now a thin adapter over two registry-backed sources: the
-    per-machine ``fastpath.*`` gauges (read directly off *machine* via
-    the shared :data:`FASTPATH_GAUGES` spec) and the event kernel's
-    process-wide counters (events processed, context switches charged,
-    deadline expiries) from :func:`repro.obs.metrics.registry` — the
-    kernel counters cover every :class:`~repro.sim.engine.EventClock`
-    run in this process, since kernels are created per run, not per
-    machine.
-    """
-    from repro.obs import metrics as obs_metrics
-    counters = {name: getter(machine) for name, getter in FASTPATH_GAUGES}
-    registry = obs_metrics.registry()
-    for metric_name, key in ENGINE_COUNTERS:
-        metric = registry.get(metric_name)
-        counters[key] = int(metric.value) if metric is not None else 0
-    return counters
