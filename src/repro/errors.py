@@ -207,7 +207,3 @@ class PlacementError(AdmissionError):
         super().__init__(message)
         self.retry_after = retry_after
         self.error_kind = error_kind
-
-
-class RequestTimeout(ServeError):
-    """A queued request exceeded its deadline before being served."""

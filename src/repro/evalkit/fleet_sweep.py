@@ -17,9 +17,8 @@ cross-check already bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
-from repro.evalkit.figures import FigureData
 from repro.evalkit.harness import DEFAULT_INFLATION, HIX, run_multiuser
 from repro.evalkit.serve_sweep import SWEEP_QUOTA
 from repro.fleet import Fleet, FleetReport, LiteProfile
@@ -169,38 +168,3 @@ def fleet_crosscheck(workload: Workload, num_users: int,
         per_machine_users=counts,
     )
 
-
-def fleet_figure(workload: Workload,
-                 users: Sequence[int] = (4, 8, 16),
-                 machines: int = 4,
-                 scheduler: str = "fair",
-                 policy: str = "least-loaded",
-                 inflation: float = DEFAULT_INFLATION,
-                 costs: Optional[CostModel] = None,
-                 lite: bool = False) -> FigureData:
-    """Fleet makespan curve vs the sharded analytic model."""
-    costs = costs or CostModel()
-    fleet_ms, analytic_ms, deltas = [], [], []
-    for n in users:
-        check = fleet_crosscheck(workload, n, machines=machines,
-                                 scheduler=scheduler, policy=policy,
-                                 costs=costs, inflation=inflation,
-                                 lite=lite)
-        fleet_ms.append(check.fleet_makespan * 1e3)
-        analytic_ms.append(check.analytic_makespan * 1e3)
-        deltas.append(check.relative_delta)
-    worst = max(deltas) if deltas else 0.0
-    return FigureData(
-        figure_id="Fleet sweep",
-        title=f"{workload.name}: fleet makespan vs sharded analytic "
-              f"model ({machines} machines, policy={policy}, "
-              f"scheduler={scheduler})",
-        x_labels=[f"{n}u" for n in users],
-        series={"fleet_ms": fleet_ms,
-                "analytic_ms": analytic_ms},
-        unit="ms",
-        notes=[f"max divergence vs the per-machine decomposition "
-               f"oracle: {worst * 100.0:.1f}%",
-               "machines share one event clock and nothing else; both "
-               "reference series are evaluated per machine on the "
-               "actual placement counts, max taken"])

@@ -90,6 +90,3 @@ class VramAllocator:
             else:
                 merged.append(candidate)
         self._free = merged
-
-    def live_allocations(self) -> Dict[int, int]:
-        return dict(self._live)

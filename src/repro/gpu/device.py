@@ -46,10 +46,6 @@ BULK_H2D_CHANNEL = 1
 BULK_D2H_CHANNEL = 2
 
 
-class GpuFault(Exception):
-    """Internal marker wrapping a fault raised during command execution."""
-
-
 class SimGpu(PcieFunction):
     """Fermi-class GPU endpoint with 1.5 GB of (sparse) device memory."""
 
@@ -99,10 +95,6 @@ class SimGpu(PcieFunction):
     def connect_dma(self, dma_engine) -> None:
         """Attach the machine's DMA engine (upstream host-memory path)."""
         self._dma = dma_engine
-
-    def set_timing(self, clock, costs) -> None:
-        self._clock = clock
-        self._costs = costs
 
     def _charge(self, seconds: float, category: str) -> None:
         if self._clock is not None:

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.crypto.blob import (
-    HEADER_LEN,
     open_blob,
     open_blob_chunks,
     seal_blob,
@@ -219,8 +218,3 @@ def _aead_encrypt_gather(dev, ctx, params) -> None:
 def _ctx_aad(ctx) -> bytes:
     """Bind bulk blobs to their GPU context id."""
     return b"hix-bulk-ctx-%d" % ctx.ctx_id
-
-
-def gpu_blob_overhead() -> int:
-    """Bytes of framing added by hix.aead_encrypt (length prefix + header)."""
-    return 8 + HEADER_LEN

@@ -56,14 +56,3 @@ class Tlp:
     def mem_write(cls, address: int, data: bytes, requester: str = "cpu") -> "Tlp":
         return cls(TlpKind.MEM_WRITE, address=address, data=data,
                    length=len(data), requester=requester)
-
-    @classmethod
-    def cfg_read(cls, bdf: str, offset: int, requester: str = "cpu") -> "Tlp":
-        return cls(TlpKind.CFG_READ, target_bdf=bdf, register_offset=offset,
-                   requester=requester)
-
-    @classmethod
-    def cfg_write(cls, bdf: str, offset: int, value: int,
-                  requester: str = "cpu") -> "Tlp":
-        return cls(TlpKind.CFG_WRITE, target_bdf=bdf, register_offset=offset,
-                   value=value, requester=requester)

@@ -160,9 +160,6 @@ class HixExtension:
                 return entry
         return None
 
-    def gecs_for_gpu(self, bdf: str) -> Optional[GecsEntry]:
-        return self._gecs.get(bdf)
-
     @property
     def gecs_entries(self) -> List[GecsEntry]:
         return list(self._gecs.values())
@@ -231,10 +228,6 @@ class HixExtension:
     def tgmr_entries(self) -> Sequence:
         """Per-page TGMR rows (lazy; ``len``/indexing are O(#regions))."""
         return _TgmrEntryView(list(self._tgmr_regions))
-
-    @property
-    def tgmr_regions(self) -> List[TgmrRegion]:
-        return list(self._tgmr_regions)
 
     # -- the extended walker check (Section 4.3.1) ------------------------------
 
