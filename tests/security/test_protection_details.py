@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.channel import BULK_OFFSET, REQUEST_OFFSET
 from repro.errors import (
-    AccessDenied,
     DriverError,
     IntegrityError,
     ProtocolError,

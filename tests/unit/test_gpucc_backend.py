@@ -11,7 +11,6 @@ the structured error kinds the serving layer classifies on.
 import pytest
 
 from repro.backends.gpucc import (
-    CcEngine,
     device_attestation_report,
     issue_device_cert,
     verify_attestation_report,

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.chaos.detection import DetectionCheck, match_detections
+from repro.chaos.detection import match_detections
 from repro.obs.audit import AuditLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
