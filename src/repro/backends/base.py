@@ -25,6 +25,8 @@ and request loop themselves are shared
 (:class:`~repro.core.runtime.SealedRpcApi`,
 :class:`~repro.core.gpu_enclave.SealedRpcService`); they charge simulated
 time through the cost hooks below, looked up by the backend's name.
+The analytic multi-user model (:func:`repro.evalkit.harness.user_segments`)
+builds its segments from the same hooks.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ DEFAULT_REGION_SIZE = 4 * (1 << 20)
 class TeeBackend:
     """One TEE design point.  Subclasses are stateless singletons."""
 
-    #: registry key, ``--backend`` value, and cost-model mode string
+    #: registry key and ``--backend``/``--mode`` value
     name: str = "?"
     #: what the user verifies before trusting the stack
     attestation: str = "?"
@@ -65,16 +67,24 @@ class TeeBackend:
         raise NotImplementedError
 
     # -- cost contributions --------------------------------------------
-
-    def multiuser_efficiency(self, costs) -> float:
-        """Derate of the backend's GPU-side crypto stage under sharing."""
-        return costs.aead_multiuser_efficiency(self.name)
-
-    def launch_overhead(self, costs) -> float:
-        return costs.launch_overhead(self.name)
+    # Every per-backend cost formula lives in these hooks, so adding a
+    # backend is one subclass: CostModel only holds calibrated fields.
 
     def rpc_round_trip(self, costs) -> float:
         """One sealed request/reply round trip over the channel."""
+        raise NotImplementedError
+
+    def launch_overhead(self, costs) -> float:
+        """Driver-visible cost of one kernel launch, beyond GPU compute.
+
+        Shared by the evalkit harness's launch-count correction, the
+        multi-user segments and the serving layer's job builder, so all
+        three charge elided launches identically.
+        """
+        raise NotImplementedError
+
+    def multiuser_efficiency(self, costs) -> float:
+        """Derate of the backend's GPU-side crypto stage under sharing."""
         raise NotImplementedError
 
     def session_setup(self, costs) -> Tuple[float, float]:
@@ -89,9 +99,14 @@ class TeeBackend:
         """Per-transfer metadata cost on top of the round trip."""
         raise NotImplementedError
 
+    def device_crypto(self, costs) -> Tuple[float, float]:
+        """``(latency, bandwidth)`` of one device-side AEAD pass."""
+        raise NotImplementedError
+
     def device_crypto_time(self, costs, nbytes: int) -> float:
         """Device-side open/seal of *nbytes* (charged as ``crypto_gpu``)."""
-        raise NotImplementedError
+        latency, bandwidth = self.device_crypto(costs)
+        return latency + costs.scaled(nbytes) / bandwidth
 
     def h2d_stages(self, costs) -> Stages:
         """The sealed upload pipeline, CPU seal first."""
@@ -100,13 +115,6 @@ class TeeBackend:
     def d2h_stages(self, costs) -> Stages:
         """The sealed download pipeline, CPU open last."""
         raise NotImplementedError
-
-    # -- identity -------------------------------------------------------
-
-    def fingerprint(self) -> Tuple[str, str]:
-        """Joined into serve memo tokens: cached timing splits must
-        never be replayed across backends."""
-        return ("backend", self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TeeBackend {self.name}>"

@@ -509,7 +509,17 @@ class GpuCcBackend(TeeBackend):
                                      channel_queue_depth=channel_queue_depth)
 
     def rpc_round_trip(self, costs) -> float:
-        return costs.rpc_round_trip_gpucc()
+        # No enclave to enter, so HIX's EENTER/EEXIT pair drops out.
+        return 2 * costs.msgqueue_hop + 2 * costs.cpu_aead_setup_latency
+
+    def launch_overhead(self, costs) -> float:
+        # Sealed round trip through the untrusted KMD + param staging via
+        # the bounce DMA path: no trusted MMIO exists under the CC firewall.
+        return (costs.kernel_launch_gpucc + self.rpc_round_trip(costs)
+                + costs.dma_setup_latency)
+
+    def multiuser_efficiency(self, costs) -> float:
+        return costs.gpucc_aead_multiuser_efficiency
 
     def session_setup(self, costs) -> Tuple[float, float]:
         return costs.gpucc_task_init, costs.gpucc_session_setup
@@ -520,9 +530,9 @@ class GpuCcBackend(TeeBackend):
     def memcpy_request_overhead(self, costs) -> float:
         return costs.memcpy_request_overhead_gpucc
 
-    def device_crypto_time(self, costs, nbytes: int) -> float:
+    def device_crypto(self, costs) -> Tuple[float, float]:
         # The engine is fixed-function: no kernel dispatch.
-        return costs.gpucc_engine_time(nbytes)
+        return costs.gpucc_engine_latency, costs.gpucc_engine_bandwidth
 
     def h2d_stages(self, costs) -> Stages:
         # CPU seal || bounce-buffer staging copy || PCIe DMA.

@@ -6,8 +6,8 @@ The sealed-RPC client and request loop are shared with every backend;
 (:class:`~repro.core.gpu_enclave.GpuEnclaveService`) add HIX's
 handshake (SGX local attestation + 3-party DH) and staging (the in-GPU
 ``hix.aead_*`` kernels).  This class supplies HIX's cost terms: 2-stage
-seal/DMA pipelines, the ``*_hix`` overheads and the in-GPU AEAD kernel
-time.
+seal/DMA pipelines, the ``*_hix`` overheads, the launch cost, the
+in-GPU AEAD kernel rate and its multi-user derate.
 """
 
 from __future__ import annotations
@@ -44,7 +44,16 @@ class HixBackend(TeeBackend):
                                    channel_queue_depth=channel_queue_depth)
 
     def rpc_round_trip(self, costs) -> float:
-        return costs.rpc_round_trip()
+        return (2 * costs.msgqueue_hop + 2 * costs.enclave_transition
+                + 2 * costs.cpu_aead_setup_latency)
+
+    def launch_overhead(self, costs) -> float:
+        # Sealed round trip + trusted-MMIO param write.
+        return (costs.kernel_launch_hix + self.rpc_round_trip(costs)
+                + 4 * costs.mmio_reg_latency)
+
+    def multiuser_efficiency(self, costs) -> float:
+        return costs.gpu_aead_multiuser_efficiency
 
     def session_setup(self, costs) -> Tuple[float, float]:
         return costs.hix_task_init, costs.session_setup
@@ -55,8 +64,9 @@ class HixBackend(TeeBackend):
     def memcpy_request_overhead(self, costs) -> float:
         return costs.memcpy_request_overhead_hix
 
-    def device_crypto_time(self, costs, nbytes: int) -> float:
-        return costs.gpu_aead_time(nbytes)
+    def device_crypto(self, costs) -> Tuple[float, float]:
+        # SM-resident AEAD kernels: launch + drain per pass.
+        return costs.gpu_aead_kernel_latency, costs.gpu_aead_bandwidth
 
     def h2d_stages(self, costs) -> Stages:
         return ((costs.cpu_aead_bandwidth, costs.pcie_h2d_bandwidth),

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.backends import get_backend
 from repro.evalkit.harness import DEFAULT_INFLATION, HIX, run_multiuser
 from repro.evalkit.serve_sweep import SWEEP_QUOTA
 from repro.fleet import Fleet, FleetReport, LiteProfile
@@ -138,7 +139,7 @@ def fleet_crosscheck(workload: Workload, num_users: int,
     """
     from repro.evalkit.serve_sweep import serve_run
     costs = costs or CostModel()
-    eff = costs.gpu_aead_multiuser_efficiency
+    eff = get_backend(HIX).multiuser_efficiency(costs)
     report = fleet_run(workload, num_users, machines=machines,
                        scheduler=scheduler, policy=policy,
                        inflation=inflation, costs=costs,

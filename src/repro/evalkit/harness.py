@@ -9,10 +9,12 @@ the full-size problem minus the launches actually issued, charged at the
 per-launch cost of the stack under test (plus any residual modeled GPU
 compute the issued launches did not carry).
 
-Multi-user runs (Figures 8/9) use the multi-user model of
-:mod:`repro.core.multiuser` (an adapter over the shared discrete-event
-kernel, :mod:`repro.sim.engine`), fed with per-phase durations derived
-from the same cost model.
+Multi-user runs (Figures 8/9) schedule per-user host/gpu segments with
+:func:`repro.core.multiuser.simulate_concurrent` on the shared
+discrete-event kernel (:mod:`repro.sim.engine`).  The segments of a
+sealed mode come from its :class:`~repro.backends.base.TeeBackend` cost
+hooks — session setup, copy pipelines, device crypto and its multi-user
+derate, launch cost — so a new backend needs no edit here.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.backends import get_backend
+from repro.backends.base import TeeBackend
 from repro.core.multiuser import Segment, simulate_concurrent
 from repro.sim.costs import CostModel
 from repro.sim.pipeline import pipelined_time
@@ -31,7 +35,6 @@ DEFAULT_INFLATION = 256.0
 GDEV = "gdev"
 HIX = "hix"
 GPUCC = "gpucc"
-MODES = (GDEV, HIX, GPUCC)
 
 
 @dataclass
@@ -73,31 +76,29 @@ class _CountingApi:
 def per_launch_overhead(costs: CostModel, mode: str) -> float:
     """Driver-visible cost of one kernel launch, beyond GPU compute.
 
-    Delegates to :meth:`CostModel.launch_overhead` so the serving
-    layer's job builder and this harness charge elided launches from
-    one formula.
+    The unsecure Gdev baseline's formula, or the sealed backend's
+    :meth:`~repro.backends.base.TeeBackend.launch_overhead` — the one
+    the serving layer's job builder also charges for elided launches.
     """
-    return costs.launch_overhead(mode)
+    if mode == GDEV:
+        return costs.gdev_launch_overhead()
+    return get_backend(mode).launch_overhead(costs)
 
 
 def run_single(workload: Workload, mode: str,
                inflation: float = DEFAULT_INFLATION,
                machine: Optional[Machine] = None) -> RunResult:
     """Run *workload* on a fresh machine; returns simulated-time results."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    tee = None if mode == GDEV else get_backend(mode)
     if machine is None:
         machine = Machine(MachineConfig(data_inflation=inflation))
     costs = machine.costs
-    if mode == GDEV:
+    if tee is None:
         driver = machine.make_gdev()
         api = machine.gdev_session(driver, name=workload.name)
-    elif mode == HIX:
-        service = machine.boot_hix()
-        api = machine.hix_session(service, name=workload.name)
     else:
-        service = machine.boot_gpucc()
-        api = machine.gpucc_session(service, name=workload.name)
+        service = tee.boot(machine)
+        api = tee.create_session(machine, service, name=workload.name)
 
     counting = _CountingApi(api)
     snap = machine.clock.snapshot()
@@ -144,16 +145,15 @@ def _compute_segments(workload: Workload, costs: CostModel, mode: str,
 
 
 def _crypto_kernel_segments(nbytes: float, costs: CostModel,
-                            mode: str = HIX,
+                            tee: TeeBackend,
                             max_segments: int = 24) -> List[Segment]:
     """Device-side crypto for a bulk transfer, chunk by chunk.
 
-    HIX runs AEAD as SM kernels whose throughput is derated by
-    ``gpu_aead_multiuser_efficiency``: per-chunk crypto batches are too
-    small to fill the SMs when several contexts interleave (Section
-    5.4).  GPU-CC runs the same work on the dedicated on-die engine —
-    lower per-chunk latency and a milder multi-user derate, since the
-    engine does not compete with compute kernels for SMs.
+    Each chunk pays the backend's per-pass latency, and its bandwidth is
+    derated by the backend's :meth:`~TeeBackend.multiuser_efficiency`:
+    HIX's SM-resident AEAD kernels run per-chunk batches too small to
+    fill the SMs when several contexts interleave (Section 5.4), while
+    GPU-CC's on-die engine loses less.
     """
     if nbytes <= 0:
         return []
@@ -161,14 +161,8 @@ def _crypto_kernel_segments(nbytes: float, costs: CostModel,
     chunks = max(int(-(-nbytes // chunk)), 1)
     groups = min(chunks, max_segments)
     per_group_bytes = nbytes / groups
-    if mode == GPUCC:
-        per_chunk_latency = costs.gpucc_engine_latency
-        bandwidth = (costs.gpucc_engine_bandwidth
-                     * costs.aead_multiuser_efficiency(GPUCC))
-    else:
-        per_chunk_latency = costs.gpu_aead_kernel_latency
-        bandwidth = (costs.gpu_aead_bandwidth
-                     * costs.aead_multiuser_efficiency(HIX))
+    per_chunk_latency, bandwidth = tee.device_crypto(costs)
+    bandwidth = bandwidth * tee.multiuser_efficiency(costs)
     segments = []
     for _ in range(groups):
         segments.append(Segment(
@@ -193,34 +187,18 @@ def user_segments(workload: Workload, costs: CostModel,
         segments.append(Segment("host", costs.d2h_time(0) + d2h
                                 / costs.pcie_d2h_bandwidth, "d2h"))
         return segments
-    if mode == GPUCC:
-        # Bounce-buffer DMA staging adds a third pipeline stage; the
-        # device-side AEAD runs on the on-die engine rather than SMs.
-        segments.append(Segment("host", costs.gpucc_task_init
-                                + costs.gpucc_session_setup, "init"))
-        segments.append(Segment("host", pipelined_time(
-            h2d, [costs.cpu_aead_bandwidth, costs.gpucc_bounce_bandwidth,
-                  costs.pcie_h2d_bandwidth],
-            costs.pipeline_chunk_bytes), "h2d"))
-        segments.extend(_crypto_kernel_segments(h2d, costs, mode))
-        segments.extend(_compute_segments(workload, costs, mode))
-        segments.extend(_crypto_kernel_segments(d2h, costs, mode))
-        segments.append(Segment("host", pipelined_time(
-            d2h, [costs.pcie_d2h_bandwidth, costs.gpucc_bounce_bandwidth,
-                  costs.cpu_aead_bandwidth],
-            costs.pipeline_chunk_bytes), "d2h"))
-        return segments
-    segments.append(Segment("host", costs.hix_task_init
-                            + costs.session_setup, "init"))
+    # A sealed backend: its own copy pipelines (stage latencies are
+    # setup, left out of the model) and device-side crypto.
+    tee = get_backend(mode)
+    chunk = costs.pipeline_chunk_bytes
+    segments.append(Segment("host", sum(tee.session_setup(costs)), "init"))
     segments.append(Segment("host", pipelined_time(
-        h2d, [costs.cpu_aead_bandwidth, costs.pcie_h2d_bandwidth],
-        costs.pipeline_chunk_bytes), "h2d"))
-    segments.extend(_crypto_kernel_segments(h2d, costs))
+        h2d, tee.h2d_stages(costs)[0], chunk), "h2d"))
+    segments.extend(_crypto_kernel_segments(h2d, costs, tee))
     segments.extend(_compute_segments(workload, costs, mode))
-    segments.extend(_crypto_kernel_segments(d2h, costs))
+    segments.extend(_crypto_kernel_segments(d2h, costs, tee))
     segments.append(Segment("host", pipelined_time(
-        d2h, [costs.pcie_d2h_bandwidth, costs.cpu_aead_bandwidth],
-        costs.pipeline_chunk_bytes), "d2h"))
+        d2h, tee.d2h_stages(costs)[0], chunk), "d2h"))
     return segments
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from repro.backends import get_backend
 from repro.core.multiuser import simulate_concurrent
 from repro.evalkit.figures import FigureData
 from repro.evalkit.harness import (
@@ -100,7 +101,7 @@ def serve_figure(workload: Workload,
     derate is also what ``run_multiuser(.., 1)`` models).
     """
     costs = costs or CostModel()
-    eff = costs.aead_multiuser_efficiency(backend)
+    eff = get_backend(backend).multiuser_efficiency(costs)
     serve_ms, analytic_ms = [], []
     for n in users:
         report = serve_run(workload, n, scheduler=scheduler,

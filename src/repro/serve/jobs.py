@@ -14,11 +14,11 @@ carry the same structure the analytic Figures 8/9 segments assume
 
 Chunk/group caps keep wall-clock bounded at high inflation; the launch
 cap is compensated exactly like the harness's launch-count correction,
-by charging the elided launches' overhead
-(``costs.launch_overhead(backend)``) as extra host seconds on the
-grouped launch requests.  Pass ``backend=`` matching the machine's
-``MachineConfig.backend`` so the compensation uses that backend's
-per-launch cost.
+by charging the elided launches' overhead (the backend's
+:meth:`~repro.backends.base.TeeBackend.launch_overhead`) as extra host
+seconds on the grouped launch requests.  Pass ``backend=`` matching the
+machine's ``MachineConfig.backend`` so the compensation uses that
+backend's per-launch cost.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.backends import get_backend
 from repro.serve.engine import TenantClient
 from repro.serve.queues import ServeRequest
 from repro.sim.costs import CostModel
@@ -74,7 +75,7 @@ def submit_workload(client: TenantClient, workload: Workload,
     elided_per_group = 0.0
     if groups:
         elided_per_group = ((launches / groups) - 1.0) \
-            * costs.launch_overhead(backend)
+            * get_backend(backend).launch_overhead(costs)
 
     state: Dict[str, object] = {}
     rng = np.random.default_rng(seed if seed is not None else 1)

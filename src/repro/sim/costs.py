@@ -137,57 +137,19 @@ class CostModel:
         """Seconds for one CPU-side authenticated encrypt/decrypt pass."""
         return self.cpu_aead_setup_latency + self.scaled(nbytes) / self.cpu_aead_bandwidth
 
-    def gpu_aead_time(self, nbytes: int) -> float:
-        """Seconds for one in-GPU crypto kernel over *nbytes* (modeled)."""
-        return self.gpu_aead_kernel_latency + self.scaled(nbytes) / self.gpu_aead_bandwidth
-
     def cleanse_time(self, nbytes: int) -> float:
         """Seconds to zero *nbytes* of VRAM on deallocation/context teardown."""
         return self.scaled(nbytes) / self.gpu_memory_cleanse_bandwidth
 
-    def rpc_round_trip(self) -> float:
-        """One sealed request/reply round trip over the untrusted channel."""
-        return (2 * self.msgqueue_hop + 2 * self.enclave_transition
-                + 2 * self.cpu_aead_setup_latency)
+    def gdev_launch_overhead(self) -> float:
+        """Driver-visible cost of one unsecure Gdev kernel launch, beyond
+        GPU compute: ioctl + param-buffer DMA + FIFO kick + status poll.
 
-    def rpc_round_trip_gpucc(self) -> float:
-        """GPU-CC sealed round trip: no enclave to enter, so the
-        EENTER/EEXIT pair drops out; everything else is identical."""
-        return 2 * self.msgqueue_hop + 2 * self.cpu_aead_setup_latency
-
-    def gpucc_engine_time(self, nbytes: int) -> float:
-        """Seconds for one on-die AEAD engine pass over *nbytes* (modeled)."""
-        return (self.gpucc_engine_latency
-                + self.scaled(nbytes) / self.gpucc_engine_bandwidth)
-
-    def aead_multiuser_efficiency(self, backend: str = "hix") -> float:
-        """Multi-user derate of the backend's GPU-side crypto stage."""
-        if backend == "gpucc":
-            return self.gpucc_aead_multiuser_efficiency
-        return self.gpu_aead_multiuser_efficiency
-
-    def launch_overhead(self, mode: str) -> float:
-        """Driver-visible cost of one kernel launch, beyond GPU compute.
-
-        *mode* is ``"gdev"`` (ioctl + param-buffer DMA + FIFO kick +
-        status poll), ``"hix"`` (sealed round trip + trusted-MMIO param
-        write) or ``"gpucc"`` (sealed round trip through the untrusted
-        KMD + param staging via the bounce DMA path — no trusted MMIO
-        exists under the CC firewall).  Shared by the evalkit harness's
-        launch-count correction and the serving layer's job builder, so
-        both charge elided launches identically.
+        The sealed backends' counterpart is
+        :meth:`repro.backends.base.TeeBackend.launch_overhead`.
         """
-        if mode == "gdev":
-            return (self.kernel_launch_gdev + self.dma_setup_latency
-                    + 4 * self.mmio_reg_latency)
-        if mode == "hix":
-            return (self.kernel_launch_hix + self.rpc_round_trip()
-                    + 4 * self.mmio_reg_latency)
-        if mode == "gpucc":
-            return (self.kernel_launch_gpucc + self.rpc_round_trip_gpucc()
-                    + self.dma_setup_latency)
-        raise ValueError(
-            f"mode must be 'gdev', 'hix' or 'gpucc', got {mode!r}")
+        return (self.kernel_launch_gdev + self.dma_setup_latency
+                + 4 * self.mmio_reg_latency)
 
     def with_overrides(self, **overrides: float) -> "CostModel":
         """Return a copy with the given parameters replaced (for ablations)."""

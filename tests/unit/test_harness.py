@@ -1,7 +1,14 @@
 """Unit tests for the evaluation harness internals."""
 
+import ast
+import inspect
+import pathlib
+
 import pytest
 
+from repro.backends import base as backend_base
+from repro.backends.base import TeeBackend, register
+from repro.core.multiuser import simulate_concurrent
 from repro.evalkit.harness import (
     GDEV,
     HIX,
@@ -10,8 +17,11 @@ from repro.evalkit.harness import (
     run_multiuser,
     user_segments,
 )
-from repro.sim.costs import CostModel
+from repro.sim.costs import GB, US, CostModel
+from repro.sim.pipeline import pipelined_time
 from repro.workloads.base import Phase, Workload
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 class _StubApi:
@@ -89,6 +99,111 @@ class TestUserSegments:
         costs = CostModel()
         assert (run_multiuser(workload, HIX, 1, costs)
                 > run_multiuser(workload, GDEV, 1, costs))
+
+
+class _ProbeBackend(TeeBackend):
+    """A third backend whose every cost hook is distinctive: a 4-stage
+    pipeline, its own crypto rate and derate, its own launch cost."""
+
+    name = "probe-tee"
+
+    def launch_overhead(self, costs):
+        return 123 * US
+
+    def multiuser_efficiency(self, costs):
+        return 0.25
+
+    def session_setup(self, costs):
+        return 1.5e-3, 2.5e-3
+
+    def device_crypto(self, costs):
+        return 11 * US, 3.0 * GB
+
+    def h2d_stages(self, costs):
+        return (1.0 * GB, 2.0 * GB, 4.0 * GB, 0.5 * GB), (0.0,) * 4
+
+    def d2h_stages(self, costs):
+        return (0.75 * GB, 4.0 * GB, 2.0 * GB, 1.0 * GB), (0.0,) * 4
+
+
+@pytest.fixture
+def probe():
+    backend = register(_ProbeBackend())
+    try:
+        yield backend
+    finally:
+        backend_base._REGISTRY.pop(backend.name)
+
+
+class TestNewBackendIsOneClass:
+    """The analytic model reads every sealed-mode cost from the
+    backend's hooks, so a new backend needs no CostModel or harness
+    edit."""
+
+    def test_launch_overhead_follows_hook(self, probe):
+        assert per_launch_overhead(CostModel(), probe.name) == 123 * US
+
+    def test_segments_follow_hooks(self, probe):
+        workload, costs = _StubWorkload(), CostModel()
+        segments = user_segments(workload, costs, probe.name)
+        by_label = {}
+        for segment in segments:
+            by_label.setdefault(segment.label, []).append(segment)
+        assert [s.duration for s in by_label["init"]] == [1.5e-3 + 2.5e-3]
+        chunk = costs.pipeline_chunk_bytes
+        assert [s.duration for s in by_label["h2d"]] == [pipelined_time(
+            workload.modeled_h2d, probe.h2d_stages(costs)[0], chunk)]
+        assert [s.duration for s in by_label["d2h"]] == [pipelined_time(
+            workload.modeled_d2h, probe.d2h_stages(costs)[0], chunk)]
+        # 16 upload + 4 download chunks, each one device-crypto pass at
+        # the derated bandwidth.
+        expected_crypto = (20 * 11 * US + (workload.modeled_h2d
+                                           + workload.modeled_d2h)
+                           / (3.0 * GB * 0.25))
+        assert sum(s.duration for s in by_label["crypto"]) == \
+            pytest.approx(expected_crypto, rel=1e-12)
+        assert all(s.kind == "gpu" for s in by_label["crypto"])
+        assert sum(s.duration for s in by_label["launch"]) == \
+            pytest.approx(workload.n_launches * 123 * US, rel=1e-12)
+
+    def test_multiuser_follows_hooks(self, probe):
+        workload, costs = _StubWorkload(), CostModel()
+        segments = user_segments(workload, costs, probe.name)
+        assert run_multiuser(workload, probe.name, 1, costs) == \
+            pytest.approx(sum(s.duration for s in segments), rel=1e-12)
+        assert run_multiuser(workload, probe.name, 2, costs) == \
+            simulate_concurrent([segments] * 2, costs.gpu_context_switch)[0]
+        assert run_multiuser(workload, probe.name, 1, costs) != \
+            run_multiuser(workload, HIX, 1, costs)
+
+
+class TestNoCostReFork:
+    """Per-backend cost formulas stay on TeeBackend."""
+
+    def test_cost_model_methods_take_no_mode(self):
+        offenders = [
+            name for name, member in vars(CostModel).items()
+            if callable(member) and {"mode", "backend"}
+            & set(inspect.signature(member).parameters)]
+        assert offenders == []
+
+    @pytest.mark.parametrize("relpath", [
+        "evalkit/harness.py", "serve/jobs.py", "evalkit/serve_sweep.py"])
+    def test_no_backend_name_comparisons(self, relpath):
+        banned_names = {"HIX", "GPUCC"}
+        banned_strings = {"hix", "gpucc"}
+        offenders = []
+        tree = ast.parse((SRC / relpath).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in [node.left, *node.comparators]:
+                if (isinstance(operand, ast.Name)
+                        and operand.id in banned_names) or (
+                        isinstance(operand, ast.Constant)
+                        and operand.value in banned_strings):
+                    offenders.append(node.lineno)
+        assert offenders == []
 
 
 class TestWorkloadBase:
