@@ -14,14 +14,16 @@ GPU engine, FIFO-arbitrated, paying a context-switch cost whenever the
 engine changes owner).  The evaluation harness converts a workload's
 phase profile into segments via the cost model and reads off makespans.
 
-Since the timing-layer unification this module is a thin adapter over
-the shared discrete-event kernel (:mod:`repro.sim.engine`): each user
-becomes a kernel lane of single-segment work units and the GPU is the
-kernel's exclusive :class:`~repro.sim.engine.Resource` under native
-FIFO arbitration.  The pre-kernel heapq implementation lives on as the
-reference oracle in ``tests/property/oracles.py``, and the property
-suite pins this adapter to it exactly — makespan, per-user timelines,
-and stats — on arbitrary tie-heavy inputs.
+The model runs on the shared discrete-event kernel
+(:mod:`repro.sim.engine`): each user becomes a kernel lane of
+single-segment work units (:func:`segments_to_units`) and the GPU is the
+kernel's exclusive :class:`~repro.sim.engine.Resource` under native FIFO
+arbitration; per-user results are the kernel's own
+:class:`~repro.sim.engine.LaneTimeline`\\ s.  The pre-kernel heapq
+implementation lives on as the reference oracle in
+``tests/property/oracles.py``, and the property suite pins the kernel
+to it exactly — makespan, per-user timelines, and stats — on arbitrary
+tie-heavy inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.engine import TenantLane, WorkUnit, run_lanes
+from repro.sim.engine import LaneTimeline, TenantLane, WorkUnit, run_lanes
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,16 @@ class Segment:
             raise ValueError("segment duration must be non-negative")
 
 
-@dataclass
-class UserTimeline:
-    """Per-user result of the simulation."""
-
-    finish_time: float
-    gpu_busy: float
-    host_busy: float
-    waits: float
+def segments_to_units(segments: Sequence[Segment]) -> List[WorkUnit]:
+    """One kernel work unit per segment (no merging, exact ordering)."""
+    return [WorkUnit(seg.duration, None, seg.label) if seg.kind == "host"
+            else WorkUnit(0.0, seg.duration, seg.label)
+            for seg in segments]
 
 
 def simulate_concurrent(users: Sequence[Sequence[Segment]],
                         ctx_switch_cost: float
-                        ) -> Tuple[float, List[UserTimeline], Dict[str, float]]:
+                        ) -> Tuple[float, List[LaneTimeline], Dict[str, float]]:
     """Simulate *users* sharing one GPU; returns (makespan, per-user, stats).
 
     Host segments of different users overlap fully (each user has a CPU
@@ -74,19 +73,10 @@ def simulate_concurrent(users: Sequence[Sequence[Segment]],
     arbitration; results are pinned exactly — ties included — to the
     retired heapq oracle by the property suite.
     """
-    lanes = [TenantLane(units=[
-        WorkUnit(seg.duration, None, seg.label) if seg.kind == "host"
-        else WorkUnit(0.0, seg.duration, seg.label)
-        for seg in segments], max_inflight=1) for segments in users]
+    lanes = [TenantLane(units=segments_to_units(segments), max_inflight=1)
+             for segments in users]
     result = run_lanes(lanes, None, ctx_switch_cost)
-    timelines = [UserTimeline(t.finish_time, t.gpu_busy, t.host_busy, t.waits)
-                 for t in result.timelines]
-    stats = {
-        "context_switches": float(result.context_switches),
-        "gpu_utilization": (sum(t.gpu_busy for t in timelines)
-                            / result.makespan if result.makespan > 0 else 0.0),
-    }
-    return result.makespan, timelines, stats
+    return result.makespan, result.timelines, result.stats()
 
 
 def interleave_copies(total_bytes: float, chunk: float, host_rate: float,

@@ -9,10 +9,13 @@ multi-tenant server driven through the existing sealed protocol:
   backpressure and timeout semantics;
 * :mod:`~repro.serve.scheduler` — pluggable GPU-engine arbitration
   (FIFO, round-robin, deficit-weighted fair);
-* :mod:`~repro.serve.timeline` — the virtual-time multiplexing core,
-  FIFO-equivalent to the analytic ``multiuser.simulate_concurrent``;
 * :mod:`~repro.serve.engine` — the driver loop that executes real
-  sealed requests for N tenants and schedules them on one device;
+  sealed requests for N tenants and schedules them on one device, as
+  lanes of the shared discrete-event kernel (:mod:`repro.sim.engine`,
+  whose ``TenantLane``/``WorkUnit`` are re-exported here);
+* :mod:`~repro.serve.timeline` — ``schedule_segments``, the analytic
+  model's per-user segments under a pluggable scheduler (with FIFO,
+  exactly ``multiuser.simulate_concurrent``);
 * :mod:`~repro.serve.jobs` — workloads decomposed into request streams.
 """
 
@@ -39,13 +42,8 @@ from repro.serve.scheduler import (
     make_scheduler,
 )
 from repro.serve.session import SessionTable, TenantQuota, TenantRecord
-from repro.serve.timeline import (
-    MultiplexResult,
-    TenantLane,
-    WorkUnit,
-    multiplex,
-    schedule_segments,
-)
+from repro.serve.timeline import schedule_segments
+from repro.sim.engine import TenantLane, WorkUnit
 
 __all__ = [
     "GPU_ENGINE_CATEGORIES",
@@ -68,9 +66,7 @@ __all__ = [
     "SessionTable",
     "TenantQuota",
     "TenantRecord",
-    "MultiplexResult",
     "TenantLane",
     "WorkUnit",
-    "multiplex",
     "schedule_segments",
 ]

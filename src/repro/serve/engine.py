@@ -17,8 +17,8 @@ bounded request queue.  The engine then runs every tenant as a real
   per-request recording listener (so the measurement is independent of
   the clock's absolute accumulator state — see :class:`_ChargeRecorder`)
   and split into GPU-engine-exclusive seconds (compute, dispatch,
-  in-GPU crypto) vs overlappable host seconds using
-  :meth:`TimeBreakdown.split`.
+  in-GPU crypto) vs overlappable host seconds by
+  :meth:`_ChargeRecorder.split`.
 
 * **The engine is the kernel's exclusive Resource.**  Host work of
   different tenants overlaps, GPU visits serialize under the
@@ -38,8 +38,9 @@ protocol's actual execution.
 
 Under concurrent service the in-GPU crypto kernels run on per-chunk
 batches too small to fill the SMs, so their measured engine seconds are
-derated by ``costs.gpu_aead_multiuser_efficiency`` whenever more than
-one tenant is admitted (Section 5.4) — the same assumption the analytic
+derated by the backend's
+:meth:`~repro.backends.base.TeeBackend.multiuser_efficiency` whenever
+more than one tenant is admitted (Section 5.4) — the same assumption the analytic
 Figures 8/9 model bakes into its crypto segments, which keeps the two
 paths cross-checkable.
 """
@@ -985,9 +986,6 @@ class ServeEngine:
         result = self._lane_run.finish()
         self._lane_run = None
         lane_names = list(self._lanes)
-        gpu_busy = sum(t.gpu_busy for t in result.timelines)
-        gpu_utilization = (gpu_busy / result.makespan
-                           if result.makespan > 0.0 else 0.0)
         lane_events: Dict[str, List[TraceEvent]] = {
             name: [] for name in lane_names}
         for tenant, event in result.events:
@@ -1019,7 +1017,7 @@ class ServeEngine:
             scheduler=self._scheduler.name,
             makespan=result.makespan,
             context_switches=result.context_switches,
-            gpu_utilization=gpu_utilization,
+            gpu_utilization=result.gpu_utilization,
             tenants=tenants,
             lanes=lane_events,
         )

@@ -5,10 +5,13 @@ the shared machine (real bytes, real crypto), but *concurrency* is a
 scheduling question: host-side work of different tenants overlaps
 freely while GPU-engine work serializes, paying a context-switch cost
 whenever the engine changes owner (paper Section 4.5).  This module is
-the serving layer's surface over the shared discrete-event kernel
-(:mod:`repro.sim.engine`): it turns per-request ``(host, gpu)``
-durations into per-tenant timelines and a makespan, with the dispatch
-order chosen by a pluggable :class:`~repro.serve.scheduler.Scheduler`.
+the serving layer's cross-check surface over the shared discrete-event
+kernel (:mod:`repro.sim.engine`): it schedules the analytic model's
+per-user segments with the dispatch order chosen by a pluggable
+:class:`~repro.serve.scheduler.Scheduler`, and reports the kernel's own
+per-lane timelines and a makespan.  :class:`~repro.serve.ServeEngine`
+drives :func:`~repro.sim.engine.run_lanes` itself, with real sealed
+requests as the unit stream.
 
 Historically this module carried its own event loop, which diverged
 from the analytic oracle (:func:`repro.core.multiuser.simulate_concurrent`)
@@ -29,84 +32,15 @@ cross-checkable against the Figures 8/9 machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.multiuser import Segment, UserTimeline
-from repro.sim.engine import (  # noqa: F401  (public re-exports)
-    TenantLane,
-    Visit,
-    WorkUnit,
-    run_lanes,
-)
-from repro.sim.trace import TraceEvent
-
-
-@dataclass
-class MultiplexResult:
-    """Outcome of one multiplexed run over virtual time."""
-
-    makespan: float
-    timelines: List[UserTimeline]
-    context_switches: int
-    served: List[int]
-    timed_out: List[int]
-    stall_seconds: List[float]           # host blocked on the inflight cap
-    events: List[Tuple[int, TraceEvent]] = field(default_factory=list)
-
-    @property
-    def gpu_utilization(self) -> float:
-        if self.makespan <= 0.0:
-            return 0.0
-        return sum(t.gpu_busy for t in self.timelines) / self.makespan
-
-    def stats(self) -> Dict[str, float]:
-        """The same summary dict :func:`simulate_concurrent` returns."""
-        return {
-            "context_switches": float(self.context_switches),
-            "gpu_utilization": self.gpu_utilization,
-        }
-
-
-def multiplex(lanes: Sequence[TenantLane], scheduler,
-              ctx_switch_cost: float) -> MultiplexResult:
-    """Run every lane to exhaustion over one shared GPU engine.
-
-    Host parts run back-to-back on each tenant's own (virtual) core;
-    GPU visits queue per tenant and the *scheduler* picks which ready
-    queue head owns the engine next.  A context switch is charged
-    whenever the engine changes owner (first occupancy is free, as in
-    the analytic model).  Unit streams are pulled lazily by the kernel
-    lane processes, so the real serving engine can execute sealed
-    requests at production time and feed their measured costs straight
-    into virtual time.
-    """
-    result = run_lanes(lanes, scheduler, ctx_switch_cost)
-    return MultiplexResult(
-        makespan=result.makespan,
-        timelines=[UserTimeline(t.finish_time, t.gpu_busy, t.host_busy,
-                                t.waits) for t in result.timelines],
-        context_switches=result.context_switches,
-        served=result.served,
-        timed_out=result.timed_out,
-        stall_seconds=result.stall_seconds,
-        events=result.events)
-
-
-def segments_to_units(segments: Sequence[Segment]) -> List[WorkUnit]:
-    """One analytic-model segment per unit (no merging, exact ordering)."""
-    units: List[WorkUnit] = []
-    for segment in segments:
-        if segment.kind == "host":
-            units.append(WorkUnit(segment.duration, None, segment.label))
-        else:
-            units.append(WorkUnit(0.0, segment.duration, segment.label))
-    return units
+from repro.core.multiuser import Segment, segments_to_units
+from repro.sim.engine import LaneTimeline, TenantLane, run_lanes
 
 
 def schedule_segments(users: Sequence[Sequence[Segment]], scheduler,
                       ctx_switch_cost: float
-                      ) -> Tuple[float, List[UserTimeline], Dict[str, float]]:
+                      ) -> Tuple[float, List[LaneTimeline], Dict[str, float]]:
     """Scheduler-driven drop-in for ``multiuser.simulate_concurrent``.
 
     Takes the same per-user segment lists and context-switch cost, and
@@ -121,5 +55,5 @@ def schedule_segments(users: Sequence[Sequence[Segment]], scheduler,
     """
     lanes = [TenantLane(units=segments_to_units(segments), max_inflight=1)
              for segments in users]
-    result = multiplex(lanes, scheduler, ctx_switch_cost)
+    result = run_lanes(lanes, scheduler, ctx_switch_cost)
     return result.makespan, result.timelines, result.stats()

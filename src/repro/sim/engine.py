@@ -2,10 +2,12 @@
 
 One heap, one arbitration discipline, three client surfaces: the
 analytic multi-user model (:func:`repro.core.multiuser.simulate_concurrent`),
-the serving layer's virtual-time multiplexer
-(:func:`repro.serve.timeline.multiplex`), and the pipelined seal+transfer
-makespan (:mod:`repro.sim.pipeline`) are all thin adapters over the
-primitives here.  Before this kernel existed each of those layers had
+the serving layer (:class:`repro.serve.engine.ServeEngine` and its
+scheduler-driven cross-check
+:func:`repro.serve.timeline.schedule_segments`), and the pipelined
+seal+transfer makespan (:mod:`repro.sim.pipeline`) all run on the
+primitives here and read :func:`run_lanes`'s :class:`LaneResult`
+directly.  Before this kernel existed each of those layers had
 its own event loop, and two of them disagreed on simultaneous-event
 tie-breaks; the kernel's single ordering rule makes FIFO serving
 *exactly* equal to the retired oracle on every input (see
@@ -595,6 +597,21 @@ class LaneResult:
     events: List[Tuple[int, TraceEvent]] = field(default_factory=list)
     processes: List[Process] = field(default_factory=list)
 
+    @property
+    def gpu_utilization(self) -> float:
+        """Share of the makespan the engine spent serving visits."""
+        if self.makespan <= 0.0:
+            return 0.0
+        return sum(t.gpu_busy for t in self.timelines) / self.makespan
+
+    def stats(self) -> Dict[str, float]:
+        """Summary dict of the analytic model's and the serving
+        cross-check's ``(makespan, timelines, stats)`` results."""
+        return {
+            "context_switches": float(self.context_switches),
+            "gpu_utilization": self.gpu_utilization,
+        }
+
 
 class _LaneState:
     """Mutable runtime of one lane (shared between hooks and process)."""
@@ -808,7 +825,9 @@ def run_lanes(lanes: Sequence[TenantLane], scheduler,
               kernel: Optional[EventClock] = None) -> LaneResult:
     """Run every lane to exhaustion over one shared engine.
 
-    This is the kernel-native core both public multiplexers wrap: each
+    This is the kernel-native core every multi-tenant timing surface
+    calls (``simulate_concurrent``, ``schedule_segments``, and
+    :class:`~repro.serve.engine.ServeEngine` via :class:`LaneRun`): each
     lane becomes a real :class:`Process` pulling its unit stream in
     virtual time (so a serving engine's streams execute sealed requests
     at production time), all GPU visits arbitrate through one

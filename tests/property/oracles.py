@@ -3,10 +3,12 @@
 Before the unified discrete-event kernel (:mod:`repro.sim.engine`), the
 repo carried two independent event loops: the analytic multi-user model
 (``repro.core.multiuser.simulate_concurrent``) and the serving layer's
-virtual-time multiplexer (``repro.serve.timeline.multiplex``).  Both
-were replaced by thin adapters over the kernel; the original bodies
-moved here, verbatim apart from naming, so the property suite can pin
-the kernel against them forever:
+virtual-time multiplexer (the retired ``repro.serve.timeline.multiplex``).
+Both now run on the kernel, which reports its own
+:class:`~repro.sim.engine.LaneResult`/``LaneTimeline``; the original
+loop bodies moved here, verbatim apart from naming and building the
+kernel's ``LaneTimeline`` for their per-user rows, so the property
+suite can pin the kernel against them forever:
 
 * :func:`oracle_simulate_concurrent` — the analytic oracle.  The kernel
   with no scheduler (native FIFO) must match it *exactly on all
@@ -29,18 +31,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.multiuser import Segment, UserTimeline
-from repro.sim.engine import TenantLane, Visit
+from repro.core.multiuser import Segment
+from repro.sim.engine import LaneTimeline, TenantLane, Visit
 from repro.sim.trace import TraceEvent
 
 
 def oracle_simulate_concurrent(
         users: Sequence[Sequence[Segment]], ctx_switch_cost: float
-        ) -> Tuple[float, List[UserTimeline], Dict[str, float]]:
+        ) -> Tuple[float, List[LaneTimeline], Dict[str, float]]:
     """The retired ``simulate_concurrent`` event loop, verbatim."""
     num_users = len(users)
     cursors = [0] * num_users           # next segment index per user
-    timelines = [UserTimeline(0.0, 0.0, 0.0, 0.0) for _ in range(num_users)]
+    timelines = [LaneTimeline(0.0, 0.0, 0.0, 0.0) for _ in range(num_users)]
 
     gpu_free_at = 0.0
     resident_ctx = None
@@ -86,10 +88,10 @@ def oracle_simulate_concurrent(
 
 @dataclass
 class OracleMultiplexResult:
-    """Field-compatible twin of ``repro.serve.timeline.MultiplexResult``."""
+    """Field-compatible subset of :class:`repro.sim.engine.LaneResult`."""
 
     makespan: float
-    timelines: List[UserTimeline]
+    timelines: List[LaneTimeline]
     context_switches: int
     served: List[int]
     timed_out: List[int]
@@ -108,7 +110,7 @@ def oracle_multiplex(lanes: Sequence[TenantLane], scheduler,
     stall_since = [0.0] * n
     stall_pending: Dict[int, float] = {}
     queues: List[Deque[Visit]] = [deque() for _ in range(n)]
-    timelines = [UserTimeline(0.0, 0.0, 0.0, 0.0) for _ in range(n)]
+    timelines = [LaneTimeline(0.0, 0.0, 0.0, 0.0) for _ in range(n)]
     served = [0] * n
     timed_out = [0] * n
     stall = [0.0] * n

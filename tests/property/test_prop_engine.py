@@ -31,12 +31,8 @@ from repro.serve.scheduler import (
     FifoScheduler,
     RoundRobinScheduler,
 )
-from repro.serve.timeline import (
-    TenantLane,
-    WorkUnit,
-    multiplex,
-    schedule_segments,
-)
+from repro.serve.timeline import schedule_segments
+from repro.sim.engine import TenantLane, WorkUnit, run_lanes
 from repro.sim.pipeline import pipelined_time, pipelined_time_events
 from tests.property.oracles import (
     oracle_multiplex,
@@ -195,7 +191,7 @@ class TestKernelMatchesRetiredMultiplexer:
                 else WorkUnit(0.0, s.duration, s.label, deadline=deadline)
                 for s in segments], max_inflight=inflight)
                 for segments in users]
-        mine = multiplex(lanes(), build_scheduler(name), 120 * US)
+        mine = run_lanes(lanes(), build_scheduler(name), 120 * US)
         oracle = oracle_multiplex(lanes(), build_scheduler(name), 120 * US)
         assume(not coincident_instants(oracle.events, deadline=deadline))
         assert mine.makespan == oracle.makespan

@@ -15,10 +15,9 @@ from repro.serve import (
     TenantQuota,
     WorkUnit,
     make_scheduler,
-    multiplex,
     schedule_segments,
 )
-from repro.serve.timeline import Visit
+from repro.sim.engine import Visit, run_lanes
 
 
 def _req(label="r"):
@@ -212,20 +211,20 @@ class TestMultiplex:
     def test_host_only_lanes_overlap(self):
         lanes = [TenantLane(units=[WorkUnit(2.0, None)]),
                  TenantLane(units=[WorkUnit(3.0, None)])]
-        result = multiplex(lanes, FifoScheduler(), 0.1)
+        result = run_lanes(lanes, FifoScheduler(), 0.1)
         assert result.makespan == pytest.approx(3.0)
         assert result.context_switches == 0
 
     def test_gpu_visits_serialize_with_switches(self):
         lanes = [TenantLane(units=[WorkUnit(0.0, 1.0)]),
                  TenantLane(units=[WorkUnit(0.0, 1.0)])]
-        result = multiplex(lanes, FifoScheduler(), 0.25)
+        result = run_lanes(lanes, FifoScheduler(), 0.25)
         assert result.makespan == pytest.approx(2.25)
         assert result.context_switches == 1
 
     def test_same_owner_has_no_switch(self):
         lanes = [TenantLane(units=[WorkUnit(0.0, 1.0), WorkUnit(0.0, 1.0)])]
-        result = multiplex(lanes, FifoScheduler(), 0.25)
+        result = run_lanes(lanes, FifoScheduler(), 0.25)
         assert result.makespan == pytest.approx(2.0)
         assert result.context_switches == 0
 
@@ -237,7 +236,7 @@ class TestMultiplex:
             TenantLane(units=[WorkUnit(0.1, 1.0, "victim", deadline=0.5,
                                        on_outcome=outcomes.append)]),
         ]
-        result = multiplex(lanes, FifoScheduler(), 0.0)
+        result = run_lanes(lanes, FifoScheduler(), 0.0)
         assert result.timed_out == [0, 1]
         assert result.served == [1, 0]
         assert set(outcomes) == {"served", "timeout"}
@@ -249,21 +248,21 @@ class TestMultiplex:
         # lane must stall between visits.
         lanes = [TenantLane(units=[WorkUnit(0.0, 1.0) for _ in range(3)],
                             max_inflight=1)]
-        result = multiplex(lanes, FifoScheduler(), 0.0)
+        result = run_lanes(lanes, FifoScheduler(), 0.0)
         assert result.makespan == pytest.approx(3.0)
         assert result.stall_seconds[0] == pytest.approx(2.0)
 
     def test_deeper_inflight_removes_stall(self):
         lanes = [TenantLane(units=[WorkUnit(0.0, 1.0) for _ in range(3)],
                             max_inflight=3)]
-        result = multiplex(lanes, FifoScheduler(), 0.0)
+        result = run_lanes(lanes, FifoScheduler(), 0.0)
         assert result.makespan == pytest.approx(3.0)
         assert result.stall_seconds[0] == pytest.approx(0.0)
 
     def test_trace_events_cover_both_kinds(self):
         lanes = [TenantLane(units=[WorkUnit(0.5, 1.0)]),
                  TenantLane(units=[WorkUnit(0.5, 1.0)])]
-        result = multiplex(lanes, FifoScheduler(), 0.1)
+        result = run_lanes(lanes, FifoScheduler(), 0.1)
         kinds = {event.category for _, event in result.events}
         assert kinds == {"host", "gpu", "ctx_switch"}
 
@@ -274,7 +273,7 @@ class TestMultiplex:
 
         lanes = [TenantLane(units=[WorkUnit(0.0, 1.0)])]
         with pytest.raises(ValueError, match="non-candidate"):
-            multiplex(lanes, Rogue(), 0.0)
+            run_lanes(lanes, Rogue(), 0.0)
 
     def test_stats_shape_matches_oracle(self):
         users = [[Segment("host", 0.5, "h"), Segment("gpu", 1.0, "g")]
