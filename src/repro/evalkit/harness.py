@@ -34,7 +34,6 @@ DEFAULT_INFLATION = 256.0
 
 GDEV = "gdev"
 HIX = "hix"
-GPUCC = "gpucc"
 
 
 @dataclass

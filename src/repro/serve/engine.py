@@ -40,9 +40,9 @@ Under concurrent service the in-GPU crypto kernels run on per-chunk
 batches too small to fill the SMs, so their measured engine seconds are
 derated by the backend's
 :meth:`~repro.backends.base.TeeBackend.multiuser_efficiency` whenever
-more than one tenant is admitted (Section 5.4) — the same assumption the analytic
-Figures 8/9 model bakes into its crypto segments, which keeps the two
-paths cross-checkable.
+more than one tenant is admitted (Section 5.4) — the same derate the
+analytic Figures 8/9 model bakes into its crypto segments, which keeps
+the two paths cross-checkable.
 """
 
 from __future__ import annotations
